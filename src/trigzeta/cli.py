@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -41,9 +42,14 @@ _COMPLEX_RE = re.compile(
 
 _SUITES = ("bernoulli", "cross", "tannery", "specializations")
 
+#: Most terms one command may sum: the upper_index of an ``eval`` q, or
+#: the total over a ``converge`` schedule.  10^8 terms take seconds,
+#: not hours; larger requests are usage errors.
+TERM_BUDGET = 10**8
+
 
 def parse_complex(text: str) -> complex:
-    """Parse RE, RE+IMi or RE-IMi (no spaces)."""
+    """Parse RE, RE+IMi or RE-IMi (no spaces); both parts must be finite."""
     match = _COMPLEX_RE.match(text)
     if match is None:
         raise UsageError(
@@ -51,7 +57,10 @@ def parse_complex(text: str) -> complex:
         )
     re_part, sign, im_part = match.groups()
     imag = 0.0 if im_part is None else float(im_part) * (-1.0 if sign == "-" else 1.0)
-    return complex(float(re_part), imag)
+    real = float(re_part)
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise UsageError(f"complex literal {text!r} is not finite in binary64")
+    return complex(real, imag)
 
 
 def _fmt(x: float) -> str:
@@ -170,6 +179,8 @@ def parse_args(argv: list[str]) -> CliConfig:
             raise UsageError(
                 f"q={ns.q} inadmissible for n={spec.n} (requires q >= {spec.min_q()})"
             )
+        if trig_sums.upper_index(ns.q, spec.n) > TERM_BUDGET:
+            raise UsageError(f"q={ns.q} sums more than {TERM_BUDGET} terms")
         return CliConfig(
             command="eval",
             s=s,
@@ -188,6 +199,13 @@ def parse_args(argv: list[str]) -> CliConfig:
         raise UsageError(
             f"q0={ns.q0} inadmissible for n={spec.n} (requires q >= {spec.min_q()})"
         )
+    # step by step, so a huge --steps stops at the first point over budget
+    total, q = 0, sched.q0
+    for _ in range(sched.steps):
+        total += trig_sums.upper_index(q, spec.n)
+        if total > TERM_BUDGET:
+            raise UsageError(f"the schedule sums more than {TERM_BUDGET} terms")
+        q *= sched.factor
     return CliConfig(
         command="converge",
         s=s,
@@ -229,7 +247,7 @@ def _run_eval(config: CliConfig) -> int:
                     "term_count": ev.term_count,
                     "re_value": ev.value.real,
                     "im_value": ev.value.imag,
-                    "compensation": ev.compensation,
+                    "rounding_bound": ev.rounding_bound,
                     "reference": {
                         "re_value": ref.value.real,
                         "im_value": ref.value.imag,

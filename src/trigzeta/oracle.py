@@ -35,16 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
 
 import mpmath
 import numpy as np
 
-from .accumulate import fsum_array, fsum_complex_array
+from .accumulate import exact_sum, index_blocks
 from .errors import CrossCheckError, DomainError, UnsupportedRangeError
 from .io_utils import write_text_atomic
 
-_CHUNK = 1 << 20
 _EPS = sys.float_info.epsilon
 
 # Reference dispatch targets: truncation bound aimed for by reference_zeta,
@@ -57,15 +55,6 @@ def _rounding_floor(scale: float) -> float:
     """Heuristic binary64 rounding floor for a sum whose absolute
     contributions total ``scale``."""
     return 4.0 * _EPS * scale
-
-
-def _chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Half-open integer ranges [a, b) covering [lo, hi) in _CHUNK steps."""
-    a = lo
-    while a < hi:
-        b = min(a + _CHUNK, hi)
-        yield a, b
-        a = b
 
 
 def _pow_array(k: np.ndarray, exponent: complex) -> np.ndarray:
@@ -162,22 +151,8 @@ def sieve_primes(limit: int) -> PrimeCache:
 
 @lru_cache(maxsize=64)
 def _dirichlet_sum(s: complex, N: int) -> tuple[complex, float]:
-    """(sum_{n<=N} n^-s, sum of magnitudes), exactly rounded per chunk."""
-    totals: list[float] = []
-    totals_im: list[float] = []
-    mags: list[float] = []
-    for a, b in _chunks(1, N + 1):
-        k = np.arange(a, b, dtype=np.float64)
-        t = _pow_array(k, -s)
-        if np.iscomplexobj(t):
-            totals.append(math.fsum(t.real.tolist()))
-            totals_im.append(math.fsum(t.imag.tolist()))
-            mags.append(float(np.sum(np.abs(t))))
-        else:
-            totals.append(math.fsum(t.tolist()))
-            totals_im.append(0.0)
-            mags.append(float(np.sum(t)))
-    return complex(math.fsum(totals), math.fsum(totals_im)), math.fsum(mags)
+    """(sum_{n<=N} n^-s, sum of magnitudes), summed exactly."""
+    return exact_sum(_pow_array(k, -s) for k in index_blocks(1, N + 1))
 
 
 def zeta_dirichlet(s: complex, N: int) -> ZetaReference:
@@ -224,25 +199,15 @@ def zeta_eta(s: complex, N: int) -> ZetaReference:
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
     pref = _eta_prefactor(s)
-    totals: list[float] = []
-    totals_im: list[float] = []
-    mags: list[float] = []
-    for a, b in _chunks(1, N + 1):
-        k = np.arange(a, b, dtype=np.float64)
+
+    def alternating(k: np.ndarray) -> np.ndarray:
         t = _pow_array(k, -s)
-        signs = np.where(np.arange(a, b) % 2 == 1, 1.0, -1.0)
-        t = t * signs
-        if np.iscomplexobj(t):
-            totals.append(math.fsum(t.real.tolist()))
-            totals_im.append(math.fsum(t.imag.tolist()))
-        else:
-            totals.append(math.fsum(t.tolist()))
-            totals_im.append(0.0)
-        mags.append(float(np.sum(np.abs(t))))
-    alt = complex(math.fsum(totals), math.fsum(totals_im))
+        return np.where(k % 2 == 1, t, -t)
+
+    alt, mag = exact_sum(alternating(k) for k in index_blocks(1, N + 1))
     value = pref * alt
     sigma = s.real
-    bound = abs(pref) * (N + 1) ** (-sigma) + _rounding_floor(abs(pref) * math.fsum(mags))
+    bound = abs(pref) * (N + 1) ** (-sigma) + _rounding_floor(abs(pref) * mag)
     value_out = value.real if s.imag == 0.0 else value
     return ZetaReference(complex(value_out), "eta", bound)
 
@@ -256,23 +221,14 @@ def _em_integral(s: complex, n: int, X: int) -> tuple[complex, float]:
 
     Returns (integral, sum of magnitudes) for the rounding floor.
     """
-    totals: list[float] = []
-    totals_im: list[float] = []
-    mags: list[float] = []
     one_minus_s = 1.0 - s
-    for a, b in _chunks(n, X):
-        k = np.arange(a, b, dtype=np.float64)
+
+    def interval(k: np.ndarray) -> np.ndarray:
         k1 = k + 1.0
         term = (_pow_array(k1, one_minus_s) - _pow_array(k, one_minus_s)) / one_minus_s
-        term = term + (k / s) * (_pow_array(k1, -s) - _pow_array(k, -s))
-        if np.iscomplexobj(term):
-            totals.append(math.fsum(term.real.tolist()))
-            totals_im.append(math.fsum(term.imag.tolist()))
-        else:
-            totals.append(math.fsum(term.tolist()))
-            totals_im.append(0.0)
-        mags.append(float(np.sum(np.abs(term))))
-    return complex(math.fsum(totals), math.fsum(totals_im)), math.fsum(mags)
+        return term + (k / s) * (_pow_array(k1, -s) - _pow_array(k, -s))
+
+    return exact_sum(interval(k) for k in index_blocks(n, X))
 
 
 @lru_cache(maxsize=64)
@@ -311,16 +267,11 @@ def zeta_euler_maclaurin(s: complex, n: int, X: int) -> ZetaReference:
 def _euler_product_cached(s: complex, limit: int) -> ZetaReference:
     cache = sieve_primes(limit)
     p = np.asarray(cache.primes, dtype=np.float64)
-    t = _pow_array(p, -s)
-    logs = np.log1p(-t)
-    if np.iscomplexobj(logs):
-        log_total = fsum_complex_array(logs)
-    else:
-        log_total = complex(fsum_array(logs), 0.0)
+    log_total, log_mag = exact_sum([np.log1p(-_pow_array(p, -s))])
     value = cmath.exp(-log_total)
     sigma = s.real
     tail = limit ** (1.0 - sigma) / (sigma - 1.0)
-    scale = abs(value) * (1.0 + float(np.sum(np.abs(logs))))
+    scale = abs(value) * (1.0 + log_mag)
     value_out = value.real if s.imag == 0.0 else value
     return ZetaReference(complex(value_out), "euler_product", tail + _rounding_floor(scale))
 
@@ -421,20 +372,13 @@ def stieltjes(nmax: int, M: int) -> StieltjesTable:
 
     sums_m = [[] for _ in range(nmax + 1)]
     sums_2m = [[] for _ in range(nmax + 1)]
-    for a, b in _chunks(1, 2 * M + 1):
-        k = np.arange(a, b, dtype=np.float64)
-        inv = 1.0 / k
+    for k in index_blocks(1, 2 * M + 1):
+        cut = max(0, M + 1 - int(k[0]))  # entries k <= M
+        power = 1.0 / k
         lk = np.log(k)
-        power = inv
         for n in range(nmax + 1):
-            if b <= M + 1:
-                sums_m[n].append(float(np.sum(power)))
-            elif a >= M + 1:
-                sums_2m[n].append(float(np.sum(power)))
-            else:
-                cut = M + 1 - a
-                sums_m[n].append(float(np.sum(power[:cut])))
-                sums_2m[n].append(float(np.sum(power[cut:])))
+            sums_m[n].append(float(np.sum(power[:cut])))
+            sums_2m[n].append(float(np.sum(power[cut:])))
             power = power * lk
 
     gammas: list[float] = []
@@ -497,10 +441,23 @@ def zeta_laurent(s: complex, table: StieltjesTable) -> ZetaReference:
 def _choose_em_cutoff(s: complex) -> int:
     """Smallest X with |s| X^(-sigma)/sigma at 90% of the reference
     target (leaving room for the rounding floor), capped at _X_CAP (the
-    reported bound stays honest if the cap bites)."""
+    reported bound stays honest if the cap bites).  Worked in log space,
+    so no |s| can overflow it."""
     sigma = s.real
-    X = math.ceil((abs(s) / (sigma * 0.9 * _REFERENCE_TARGET)) ** (1.0 / sigma))
-    return max(64, min(X, _X_CAP))
+    log_x = (math.log(abs(s)) - math.log(sigma * 0.9 * _REFERENCE_TARGET)) / sigma
+    if log_x >= math.log(_X_CAP):
+        return _X_CAP
+    return max(64, math.ceil(math.exp(log_x)))
+
+
+def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
+    """(route reported, route it is cross-checked against) at s."""
+    if s.real > 1.0:
+        return (
+            zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s)),
+            zeta_euler_maclaurin(s, 1_000_000, 1_000_000),
+        )
+    return zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)
 
 
 @lru_cache(maxsize=128)
@@ -508,22 +465,30 @@ def reference_zeta(s: complex) -> ZetaReference:
     """Best available reference for zeta(s), cross-checked.
 
     Re(s) > 1: Euler-Maclaurin with the cutoff chosen for a 1e-10
-    bound, cross-checked against the Dirichlet sum at N = 10^6.
+    bound, cross-checked against Euler-Maclaurin with the whole
+    Dirichlet sum to N = 10^6 and no integral (bound |s| N^-sigma/sigma).
     0 < Re(s) <= 1: the eta route at N = 10^6, cross-checked against
     Euler-Maclaurin.  The two must agree within 10x the sum of their
     reported bounds, else a CrossCheckError carries both values.
+
+    Raises:
+        UnsupportedRangeError: before any summation, when even the
+            largest cutoff it pays for, _X_CAP, leaves the
+            Euler-Maclaurin tail bound |s| X^-sigma/sigma at 1 or more
+            (huge |Im s|, sigma near 0, or a non-finite s).
     """
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"reference needs Re(s) > 0, got Re(s)={s.real}")
     if s == 1:
         raise DomainError("zeta has its pole at s = 1")
-    if s.real > 1.0:
-        best = zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s))
-        other = zeta_dirichlet(s, 1_000_000)
-    else:
-        best = zeta_eta(s, 1_000_000)
-        other = zeta_euler_maclaurin(s, 64, 1_000_000)
+    bound = abs(s) * _X_CAP ** -s.real / s.real
+    if not bound < 1.0:
+        raise UnsupportedRangeError(
+            f"no reference at s={s}: the Euler-Maclaurin tail bound at the "
+            f"largest cutoff {_X_CAP} is {bound:.3e}, not below 1"
+        )
+    best, other = _reference_routes(s)
     gap = abs(best.value - other.value)
     allowance = 10.0 * (best.error_bound + other.error_bound)
     if gap > allowance:

@@ -16,9 +16,12 @@ n = 0 with q >= 2, or n >= 1 with q >= 1.
 
 Every base (pi/(2q+m))*cot(...) or (pi/(2q+m))*csc(...) is a strictly
 positive real, so complex powers are defined branch-free as
-exp(s * ln base) with the real natural logarithm.  For real s the same
-value is computed with ``math.pow``, which is a tick more accurate and
-identical in exact arithmetic.
+exp(s * ln base) with the real natural logarithm, that is
+exp(sigma ln b) (cos(t ln b) + i sin(t ln b)); real powers use pow,
+identical in exact arithmetic.  ``term`` evaluates one summand with the
+math module; ``finite_trig_sum`` evaluates the same operations, in the
+same order, with numpy over blocks of p and sums them exactly
+(:mod:`trigzeta.accumulate`).
 
 All functions here are pure; the module holds no mutable state and is
 safe to call from any number of threads.
@@ -28,11 +31,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .accumulate import ComplexNeumaier
+import numpy as np
+
+from .accumulate import exact_sum, index_blocks
 from .errors import DomainError
 
 
@@ -71,14 +77,16 @@ class TrigSumSpec:
 class SumEvaluation:
     """One finite-sum evaluation at a given q.
 
-    ``compensation`` is the final correction term of the compensated
-    accumulation, a rounding diagnostic only.
+    ``rounding_bound`` is (4|s| + 4) eps sum|term|: each base carries a
+    few roundings (angle, cos/sin, prefactor product) that the power
+    magnifies by |s|, the power adds a few more, and the exact sum adds
+    at most one per block of terms.
     """
 
     q: int
     term_count: int
     value: complex
-    compensation: float
+    rounding_bound: float
 
 
 @dataclass(frozen=True)
@@ -112,18 +120,6 @@ def upper_index(q: int, n: int) -> int:
     return (2 * q + n - 1) // 2
 
 
-def _power_of_positive(base: float, s: complex) -> complex:
-    """base**s for strictly positive real base, branch-free.
-
-    Real exponents use math.pow; complex ones use exp(s * ln base) with
-    the real logarithm.  Both agree with the principal power of a
-    positive base.
-    """
-    if s.imag == 0.0:
-        return complex(math.pow(base, s.real), 0.0)
-    return cmath.exp(s * math.log(base))
-
-
 def term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
     """Single summand ((pi/(2q+m)) * cot_or_csc(p*pi/(2q+n)))**s.
 
@@ -131,10 +127,14 @@ def term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
         DomainError: for inadmissible (q, n) or p outside
             1..upper_index(q, n).
     """
-    s = complex(s)
     upper = upper_index(q, spec.n)
     if not 1 <= p <= upper:
         raise DomainError(f"index p={p} outside 1..{upper} for (q={q}, n={spec.n})")
+    return _term(spec, p, q, complex(s))
+
+
+def _term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
+    """``term`` without the admissibility and index checks."""
     angle = (p * math.pi) / (2 * q + spec.n)
     # cot as cos/sin (not 1/tan): one rounding fewer per term.
     if spec.kind is TrigKind.COT:
@@ -142,30 +142,46 @@ def term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
     else:
         trig = 1.0 / math.sin(angle)
     base = (math.pi / (2 * q + spec.m)) * trig
-    return _power_of_positive(base, s)
+    if s.imag == 0.0:
+        return complex(math.pow(base, s.real), 0.0)
+    return cmath.exp(s * math.log(base))
+
+
+def _block_terms(spec: TrigSumSpec, p: np.ndarray, q: int, s: complex) -> np.ndarray:
+    """``_term`` over an array of indices p, in the same operation order."""
+    angle = (p * math.pi) / (2 * q + spec.n)
+    sin = np.sin(angle)
+    trig = np.cos(angle) / sin if spec.kind is TrigKind.COT else 1.0 / sin
+    base = (math.pi / (2 * q + spec.m)) * trig
+    if s.imag == 0.0:
+        return np.power(base, s.real)
+    log_base = np.log(base)
+    magnitude = np.exp(s.real * log_base)
+    phase = s.imag * log_base
+    out = np.empty(p.shape, dtype=np.complex128)
+    out.real = magnitude * np.cos(phase)
+    out.imag = magnitude * np.sin(phase)
+    return out
 
 
 def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
-    """Compensated sum of term(spec, p, q, s) over p = 1..upper_index(q, n).
+    """Exact sum of term(spec, p, q, s) over p = 1..upper_index(q, n).
 
-    Accumulation runs in ascending p.  For real s > 1 the result is a
-    strictly positive real (imaginary part exactly zero).
+    The terms are evaluated with numpy in blocks of p and summed with
+    :func:`trigzeta.accumulate.exact_sum`; memory stays a few hundred
+    kilobytes at any q.  For real s > 1 the result is a strictly
+    positive real (imaginary part exactly zero).
     """
     s = complex(s)
     upper = upper_index(q, spec.n)
-    angle_den = 2 * q + spec.n
-    pref = math.pi / (2 * q + spec.m)
-    is_cot = spec.kind is TrigKind.COT
-    acc = ComplexNeumaier()
-    for p in range(1, upper + 1):
-        angle = (p * math.pi) / angle_den
-        trig = math.cos(angle) / math.sin(angle) if is_cot else 1.0 / math.sin(angle)
-        acc.add(_power_of_positive(pref * trig, s))
+    value, magnitude = exact_sum(
+        _block_terms(spec, p, q, s) for p in index_blocks(1, upper + 1)
+    )
     return SumEvaluation(
         q=q,
         term_count=upper,
-        value=acc.value,
-        compensation=acc.correction_magnitude,
+        value=value,
+        rounding_bound=(4.0 * abs(s) + 4.0) * sys.float_info.epsilon * magnitude,
     )
 
 

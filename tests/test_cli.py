@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,11 @@ class TestParseComplex:
     @pytest.mark.parametrize("text", ["", "i", "2.5 + 1.3i", "1.3i", "2+i", "abc", "2,5"])
     def test_rejected(self, text):
         with pytest.raises(UsageError):
+            cli.parse_complex(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "2+1e400i", "1e999-1e999i"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(UsageError, match="not finite"):
             cli.parse_complex(text)
 
 
@@ -106,6 +112,16 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             cli.parse_args(["verify", "--suite", "cross", "--s", "2"])
 
+    def test_eval_term_budget(self):
+        cli.parse_args(["eval", "--s", "2", "--rep", "E28", "--q", str(cli.TERM_BUDGET)])
+        with pytest.raises(UsageError, match="terms"):
+            cli.parse_args(["eval", "--s", "2", "--rep", "E28", "--q", str(cli.TERM_BUDGET + 1)])
+
+    @pytest.mark.parametrize("steps", ["80", "1000000000"])
+    def test_converge_term_budget(self, steps):
+        with pytest.raises(UsageError, match="terms"):
+            cli.parse_args(["converge", "--s", "2", "--rep", "E28", "--steps", steps])
+
     def test_oracle_domain(self):
         with pytest.raises(UsageError):
             cli.parse_args(["oracle", "--s", "1"])
@@ -133,6 +149,7 @@ class TestExecution:
         payload = json.loads(result.stdout)
         assert payload["q"] == 100
         assert payload["term_count"] == 100
+        assert 0.0 < payload["rounding_bound"] < 1e-13
         assert payload["reference"]["method"] == "euler_maclaurin"
 
     def test_usage_error_exit_one(self):
@@ -140,6 +157,28 @@ class TestExecution:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert "Re(s) > 1" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("eval", "--s", "1e400", "--rep", "E28", "--q", "10"),
+            ("eval", "--s", "2+1e300i", "--rep", "E28", "--q", "10"),
+            ("oracle", "--s", "1e400"),
+        ],
+    )
+    def test_bad_s_one_error_line(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_oversized_schedule_refused_quickly(self):
+        t0 = time.perf_counter()
+        result = run_cli("converge", "--s", "2", "--rep", "E28", "--steps", "80")
+        assert time.perf_counter() - t0 < 5.0
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
 
     def test_verify_bernoulli_green(self):
         result = run_cli("verify", "--suite", "bernoulli")

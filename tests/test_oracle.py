@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import trigzeta as tz
 from trigzeta.errors import DomainError, UnsupportedRangeError
-from trigzeta.oracle import _em_integral
+from trigzeta.oracle import _X_CAP, _choose_em_cutoff, _em_integral, _reference_routes
 
 PI = math.pi
 ZETA2 = PI**2 / 6
@@ -300,6 +300,25 @@ class TestReferenceZeta:
         ref = tz.reference_zeta(0.5)
         assert ref.method == "eta"
         assert ref.value.real == pytest.approx(-1.4603545, abs=5e-3)
+
+    @pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.5 + 1.3j])
+    def test_cross_check_can_fail(self, s):
+        # the allowance 10 x (sum of both bounds) is far below the value
+        best, other = _reference_routes(complex(s))
+        allowance = 10.0 * (best.error_bound + other.error_bound)
+        assert allowance < abs(best.value) / 100
+        assert abs(best.value - other.value) <= allowance
+
+    @pytest.mark.parametrize(
+        "s", [2 + 1e300j, complex(2, math.inf), complex(2, math.nan), 0.01 + 5j]
+    )
+    def test_out_of_range_refused(self, s):
+        with pytest.raises(UnsupportedRangeError):
+            tz.reference_zeta(s)
+
+    def test_cutoff_without_overflow(self):
+        assert _choose_em_cutoff(2 + 1e300j) == _X_CAP
+        assert _choose_em_cutoff(10) == 64
 
 
 OR_S_VALUES = [1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0]

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import trigzeta as tz
 from trigzeta.errors import DomainError
 
+from helpers import ulps_between
+
 PI = math.pi
 
 
@@ -164,6 +166,17 @@ class TestExchange:
         inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 0, 2.0)
         with pytest.raises(DomainError):
             tz.tannery_exchange(inst, [1, 2, 4], 100)  # q=1 inadmissible for n=0
+
+    @pytest.mark.parametrize("s", [1.5, 2.7, 3.3])
+    def test_lhs_matches_finite_trig_sum(self, s):
+        # the scalar summands and the vectorised kernel agree to 4 ulps
+        q = 10240
+        for kind, m, n in ((tz.TrigKind.COT, 0, 1), (tz.TrigKind.COT, 1, 1),
+                           (tz.TrigKind.COT, 0, 0), (tz.TrigKind.CSC, 0, 1),
+                           (tz.TrigKind.CSC, 0, 0)):
+            lhs = tz.tannery_exchange(tz.zeta_trig_instance(kind, m, n, s), [q], 0).lhs
+            total = tz.finite_trig_sum(tz.TrigSumSpec(kind, m, n), q, s).value
+            assert ulps_between(lhs, total) <= 4.0, (kind, m, n)
 
 
 class TestExpLimit:

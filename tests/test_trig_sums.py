@@ -194,10 +194,37 @@ class TestFiniteTrigSum:
             for b in values[i + 1 :]:
                 assert abs(a - b) < 1e-2
 
-    def test_compensation_is_small(self):
-        ev = tz.finite_trig_sum(COT01, 1000, 2)
-        # diagnostic only: the correction should be far below the value
-        assert abs(ev.compensation) < 1e-10 * abs(ev.value)
+    def test_rounding_bound_covers_error(self):
+        # the acceptance grid against the 50-digit transcriptions
+        for cid in tz.CATALOG_IDS:
+            spec = tz.classical_form(cid)
+            for q in (5, 50, 100):
+                for s in (2, 3, 2.5 + 1.3j):
+                    ev = tz.finite_trig_sum(spec, q, s)
+                    gap = abs(ev.value - direct_transcription(cid, q, s))
+                    assert 0.0 < ev.rounding_bound < 1e-12 * abs(ev.value)
+                    assert gap <= ev.rounding_bound, (cid, q, s)
+
+    def test_repeat_calls_identical_bits(self):
+        # numpy's vectorised pow/exp/log differ from libm; what matters
+        # is that the same call always gives the same bits
+        for s in (2.7, 2.5 + 1.3j):
+            for q in (7, 5000, 20000):
+                first = tz.finite_trig_sum(CSC01, q, s)
+                for _ in range(3):
+                    assert tz.finite_trig_sum(CSC01, q, s) == first
+
+    @pytest.mark.parametrize("s", [2.5, 2.5 + 1.3j])
+    def test_memory_stays_small_at_large_q(self, s):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            tz.finite_trig_sum(tz.classical_form("E28"), 10**6, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestClassicalForm:
