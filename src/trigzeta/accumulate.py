@@ -4,11 +4,37 @@ Every large sum in the package (the finite trigonometric sums, both
 sides of the Tannery identity, the oracle's series, integral and
 log-product) hands its terms to :func:`exact_sum` as numpy arrays,
 built block by block with :func:`index_blocks` or :func:`value_blocks`.
-Each block is summed exactly rounded by ``math.fsum`` (Shewchuk
-accumulation) and the block totals are summed exactly rounded once
-more, so a sum that fits one block is exactly rounded and a longer one
-carries at most one extra rounding per block, below eps/2 times that
-block's sum of magnitudes.
+Each block is summed exactly rounded (:func:`block_sum`, the bits of
+``math.fsum``) and the block totals are summed exactly rounded once
+more by ``math.fsum``, so a sum that fits one block is exactly rounded
+and a longer one carries at most one extra rounding per block, below
+eps/2 times that block's sum of magnitudes.
+
+A block is summed without leaving numpy, by an error-free split into
+integers in the spirit of Ogita, Rump and Oishi, "Accurate Sum and Dot
+Product" (SISC 2005) and Rump, Ogita and Oishi, "Accurate
+Floating-Point Summation, Part I" (SISC 2008):
+
+1. scale by a power of two (``np.ldexp``, exact) so that max|x| < 2^50;
+2. cut every entry into two 50-bit int64 limbs, the integer part and
+   the next 50 bits, both exact;
+3. add each limb column in int64, at most 2^13 entries at a time, which
+   cannot overflow, and join the two column sums into one Python int;
+4. round that int once with ``float(int)`` (half to even, as ``fsum``
+   rounds) and undo the scaling with ``math.ldexp``.
+
+What lies below the second limb moves the exact sum by less than one
+unit of that limb per entry; entries that underflow in step 1 lie
+there too.  ``math.fsum`` decides the block instead only when
+
+* that movement could cross a rounding boundary,
+* the block holds an inf or a nan (``fsum`` returns or raises),
+* the entries are so large that ``fsum``'s partial sums could overflow
+  (it then raises its own ``OverflowError``).
+
+An all-zero block sums to +0.0, as ``fsum`` gives.  A subnormal result
+needs no care: an exact sum below 2^-1022 is a multiple of 2^-1074, so
+a float itself, and the one rounding in step 4 leaves it unchanged.
 
 Blocks of _CHUNK = 4096 terms keep the working set a few hundred
 kilobytes whatever the length of the sum; larger blocks buy little
@@ -25,6 +51,11 @@ import numpy as np
 
 _CHUNK = 4096
 
+#: bits per integer limb, and entries per int64 column sum:
+#: 2^13 entries below 2^50 add up to less than 2^63.
+_LIMB = 50
+_COLUMN = 1 << 13
+
 
 def index_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The integers lo..hi-1 as float64 arrays of at most _CHUNK entries."""
@@ -39,6 +70,47 @@ def value_blocks(values: Iterable[complex]) -> Iterator[np.ndarray]:
         yield np.array(block, dtype=np.complex128)
 
 
+def _column_sum(limbs: np.ndarray) -> int:
+    """Exact sum of an int64 array whose entries are below 2^50."""
+    return sum(
+        int(limbs[a : a + _COLUMN].sum())
+        for a in range(0, limbs.size, _COLUMN)
+    )
+
+
+def _limb_sum(x: np.ndarray) -> float | None:
+    """``math.fsum`` of the real float64 array x from two integer limbs,
+    or None where fsum has to decide (see the module docstring)."""
+    n = x.size
+    if n == 0:
+        return 0.0
+    top, bottom = float(x.max()), float(x.min())
+    if not math.isfinite(top - bottom):
+        return None
+    biggest = max(top, -bottom)
+    if biggest == 0.0:
+        return 0.0
+    e = math.frexp(biggest)[1]  # biggest < 2^e
+    if e + n.bit_length() > 1021:
+        return None
+    shift = _LIMB - e
+    y = np.ldexp(x, shift)
+    hi = y.astype(np.int64)  # truncates toward zero
+    lo = np.ldexp(y - hi, _LIMB).astype(np.int64)
+    total = (_column_sum(hi) << _LIMB) + _column_sum(lo)
+    # the exact scaled sum lies strictly between total - n and total + n
+    if float(total - n) != float(total + n):
+        return None
+    return math.ldexp(float(total), -shift - _LIMB)
+
+
+def block_sum(x: np.ndarray) -> float:
+    """Exactly rounded sum of a real float64 array: the bits of
+    ``math.fsum(x.tolist())``, and its exception where it raises."""
+    total = _limb_sum(x)
+    return math.fsum(x.tolist()) if total is None else total
+
+
 def exact_sum(blocks: Iterable[np.ndarray]) -> tuple[complex, float]:
     """(sum of all entries, sum of their magnitudes) over real or
     complex blocks.
@@ -51,8 +123,8 @@ def exact_sum(blocks: Iterable[np.ndarray]) -> tuple[complex, float]:
     im: list[float] = []
     mag: list[float] = []
     for t in blocks:
-        re.append(math.fsum(t.real.tolist()))
+        re.append(block_sum(t.real))
         if np.iscomplexobj(t):
-            im.append(math.fsum(t.imag.tolist()))
+            im.append(block_sum(t.imag))
         mag.append(float(np.sum(np.abs(t))))
     return complex(math.fsum(re), math.fsum(im)), math.fsum(mag)

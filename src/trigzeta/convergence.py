@@ -30,7 +30,7 @@ from .oracle import ZetaReference, reference_zeta
 from .trig_sums import TrigSumSpec, finite_trig_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QSchedule:
     """Geometric schedule q_k = q0 * factor^k for k = 0..steps-1."""
 
@@ -53,14 +53,14 @@ class QSchedule:
         return iter(self.q_values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     q: int
     estimate: complex
     abs_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderFit:
     """Least-squares slope of log(error) vs log(q), negated, with the
     root-mean-square residual of the fit."""
@@ -69,7 +69,7 @@ class OrderFit:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceSeries:
     """Sweep results: per-q records, the reference used for the errors,
     and the fitted empirical order (None when too few usable points)."""

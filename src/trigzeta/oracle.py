@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 from .accumulate import exact_sum, index_blocks
@@ -64,7 +63,7 @@ def _pow_array(k: np.ndarray, exponent: complex) -> np.ndarray:
     return np.power(k.astype(np.complex128), exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZetaReference:
     """A reference value with its method tag and reported error bound."""
 
@@ -73,7 +72,7 @@ class ZetaReference:
     error_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BernoulliTable:
     """Exact rationals B_0 .. B_{2K}, first convention (B_1 = -1/2)."""
 
@@ -86,7 +85,7 @@ class BernoulliTable:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeCache:
     """Ascending list of all primes <= limit."""
 
@@ -123,7 +122,7 @@ class PrimeCache:
         return cls(primes=tuple(entries), limit=stated)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StieltjesTable:
     """Laurent-expansion constants gamma_0..gamma_nmax with error data.
 
@@ -327,6 +326,8 @@ def zeta_even(n: int) -> ZetaReference:
     """
     if n < 1:
         raise UnsupportedRangeError("n = 0 (zeta(0)) is not computed by this artifact")
+    import mpmath  # imported by its only user, so `import trigzeta` skips it
+
     table = bernoulli_numbers(max(n, 5))
     b = table[2 * n]
     rational = Fraction((-1) ** (n + 1), 2 * math.factorial(2 * n)) * b
@@ -451,12 +452,15 @@ def _choose_em_cutoff(s: complex) -> int:
 
 
 def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
-    """(route reported, route it is cross-checked against) at s."""
+    """(route reported, route it is cross-checked against) at s.
+
+    For Re(s) > 1 both routes are Euler-Maclaurin and the one with the
+    smaller error bound is reported; below, the eta route is.
+    """
     if s.real > 1.0:
-        return (
-            zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s)),
-            zeta_euler_maclaurin(s, 1_000_000, 1_000_000),
-        )
+        cut = zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s))
+        full = zeta_euler_maclaurin(s, 1_000_000, 1_000_000)
+        return (cut, full) if cut.error_bound <= full.error_bound else (full, cut)
     return zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)
 
 
@@ -464,9 +468,10 @@ def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
 def reference_zeta(s: complex) -> ZetaReference:
     """Best available reference for zeta(s), cross-checked.
 
-    Re(s) > 1: Euler-Maclaurin with the cutoff chosen for a 1e-10
-    bound, cross-checked against Euler-Maclaurin with the whole
-    Dirichlet sum to N = 10^6 and no integral (bound |s| N^-sigma/sigma).
+    Re(s) > 1: two Euler-Maclaurin routes, one with the cutoff chosen
+    for a 1e-10 bound and one with the whole Dirichlet sum to N = 10^6
+    and no integral (bound |s| N^-sigma/sigma); the one with the
+    smaller bound is reported and the other checks it.
     0 < Re(s) <= 1: the eta route at N = 10^6, cross-checked against
     Euler-Maclaurin.  The two must agree within 10x the sum of their
     reported bounds, else a CrossCheckError carries both values.
@@ -475,7 +480,9 @@ def reference_zeta(s: complex) -> ZetaReference:
         UnsupportedRangeError: before any summation, when even the
             largest cutoff it pays for, _X_CAP, leaves the
             Euler-Maclaurin tail bound |s| X^-sigma/sigma at 1 or more
-            (huge |Im s|, sigma near 0, or a non-finite s).
+            (huge |Im s|, sigma near 0, or a non-finite s); and after
+            it, when the cross-check allowance is not below the
+            reported |value|, so the check could not fail.
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -491,6 +498,11 @@ def reference_zeta(s: complex) -> ZetaReference:
     best, other = _reference_routes(s)
     gap = abs(best.value - other.value)
     allowance = 10.0 * (best.error_bound + other.error_bound)
+    if not allowance < abs(best.value):
+        raise UnsupportedRangeError(
+            f"no reference at s={s}: the cross-check allowance {allowance:.3e} "
+            f"is not below |{best.method} value| = {abs(best.value):.3e}"
+        )
     if gap > allowance:
         raise CrossCheckError(
             f"reference cross-check failed at s={s}: |{best.method} - {other.method}| "

@@ -52,7 +52,7 @@ _OCTAVE_THRESHOLD = 0.999
 _ZERO_RUN_CUTOFF = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TanneryInstance:
     """A double sequence with its claimed limit data.
 
@@ -69,7 +69,7 @@ class TanneryInstance:
     admissible: Callable[[int], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionIReport:
     """Per-index-limit check: worst deviation over p <= p_max."""
 
@@ -106,7 +106,7 @@ class ConditionIReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionIIReport:
     """Dominating-bound check plus bound-series convergence diagnostic."""
 
@@ -148,7 +148,7 @@ class ConditionIIReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """Combined report for both hypotheses of the theorem."""
 

@@ -47,7 +47,7 @@ class TrigKind(str, Enum):
     CSC = "csc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrigSumSpec:
     """Parameterization (kind, m, n) of one finite trigonometric power sum.
 
@@ -73,7 +73,7 @@ class TrigSumSpec:
         return q >= self.min_q()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumEvaluation:
     """One finite-sum evaluation at a given q.
 
@@ -89,7 +89,7 @@ class SumEvaluation:
     rounding_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitEstimate:
     """Packaged q -> infinity limit: last evaluation plus convergence data.
 

@@ -1,8 +1,14 @@
 """Tests for the chunked exact summation helper."""
 
-import numpy as np
+import math
 
-from trigzeta.accumulate import _CHUNK, exact_sum, index_blocks, value_blocks
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from trigzeta.accumulate import _CHUNK, block_sum, exact_sum, index_blocks, value_blocks
+from trigzeta.trig_sums import _block_terms, classical_form, upper_index
 
 
 def test_index_blocks_cover_the_range_once():
@@ -33,3 +39,81 @@ def test_real_and_complex_blocks_across_block_boundaries():
 def test_empty_sum():
     assert exact_sum([]) == (0j, 0.0)
     assert exact_sum(value_blocks([])) == (0j, 0.0)
+
+
+def _outcome(f, values):
+    """The bits of f(values), or the type of the exception it raises."""
+    try:
+        return f(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+     math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1e308, 9e307,
+     2.0**53, 1.0, -1.0, 2.0**-60, -(2.0**-60), 0.5]
+)
+# small mantissas at scattered exponents: exact ties and cancellations
+_DYADIC = st.builds(math.ldexp, st.integers(-8, 8), st.integers(-1074, 1019))
+_FLOATS = st.one_of(st.floats(), _SPECIAL, _DYADIC)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_FLOATS, max_size=10_000))
+@example([2.0**53, 1.0, 2.0**-60])
+@example([2.0**53, 1.0, -(2.0**-60)])
+@example([2.0**53, 1.0])
+@example([1e308, 1e308, -1e308])
+@example([9e307, 9e307, -5e307, -5e307])
+@example([math.inf, -math.inf])
+@example([-0.0, -0.0])
+@example([5e-324, 5e-324])
+def test_block_sum_has_fsum_bits(values):
+    x = np.array(values, dtype=np.float64)
+    assert _outcome(block_sum, x) == _outcome(math.fsum, values)
+
+
+def test_long_block_limb_columns_stay_exact():
+    # 10^5 entries just below a power of two: every high limb is near
+    # 2^50, so one unsplit int64 column would wrap
+    x = np.full(100_000, 1.0 - 2.0**-53)
+    x[::2] *= -0.75
+    assert block_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+# the five distinct (kind, m, n) shapes of the catalog
+_SHAPES = [classical_form(c) for c in ("E28", "E29", "E30", "E31", "E32")]
+
+
+def _kernel_blocks(s: complex):
+    for spec in _SHAPES:
+        for q in (7, 300, 4097, 10**5):
+            for p in index_blocks(1, upper_index(q, spec.n) + 1):
+                yield _block_terms(spec, p, q, s)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 4.0, 30.0, 2.5 + 1.3j, 3 + 15j])
+def test_kernel_blocks_have_fsum_bits(s):
+    for t in _kernel_blocks(complex(s)):
+        for part in (t.real, t.imag) if np.iscomplexobj(t) else (t,):
+            assert block_sum(part).hex() == math.fsum(part.tolist()).hex()
+
+
+def _no_fsum(values):
+    raise AssertionError("block handed to math.fsum")
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 4.0, 30.0])
+def test_real_kernel_blocks_never_fall_back(s, monkeypatch):
+    # a block sum that always handed its block to fsum would pass the
+    # bit tests above; the kernel's real blocks must all stay in numpy
+    monkeypatch.setattr(math, "fsum", _no_fsum)
+    for t in _kernel_blocks(complex(s)):
+        block_sum(t)
+
+
+def test_zero_blocks_stay_in_numpy(monkeypatch):
+    monkeypatch.setattr(math, "fsum", _no_fsum)
+    assert block_sum(np.zeros(_CHUNK)).hex() == "0x0.0p+0"
+    assert block_sum(np.full(_CHUNK, -0.0)).hex() == "0x0.0p+0"

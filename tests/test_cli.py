@@ -16,16 +16,20 @@ from trigzeta.errors import UsageError
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "trigzeta", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "trigzeta", *args)
 
 
 class TestParseComplex:
@@ -164,6 +168,7 @@ class TestExecution:
             ("eval", "--s", "1e400", "--rep", "E28", "--q", "10"),
             ("eval", "--s", "2+1e300i", "--rep", "E28", "--q", "10"),
             ("oracle", "--s", "1e400"),
+            ("oracle", "--s", "0.001"),
         ],
     )
     def test_bad_s_one_error_line(self, args):
@@ -172,6 +177,10 @@ class TestExecution:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_import_leaves_mpmath_out(self):
+        result = run_python("-c", "import sys, trigzeta; print('mpmath' in sys.modules)")
+        assert result.stdout == "False\n"
 
     def test_oversized_schedule_refused_quickly(self):
         t0 = time.perf_counter()

@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -315,6 +316,16 @@ class TestReferenceZeta:
     def test_out_of_range_refused(self, s):
         with pytest.raises(UnsupportedRangeError):
             tz.reference_zeta(s)
+
+    @pytest.mark.parametrize("s", [2.5 + 1.3j, 3.7, 3 + 2j])
+    def test_reports_the_better_route(self, s):
+        exact = complex(mpmath.zeta(s))
+        assert abs(tz.reference_zeta(s).value - exact) < 1e-14 * abs(exact)
+
+    def test_vacuous_cross_check_refused(self):
+        # near sigma = 0 the eta route's bound dwarfs its value
+        with pytest.raises(UnsupportedRangeError, match="allowance"):
+            tz.reference_zeta(0.001)
 
     def test_cutoff_without_overflow(self):
         assert _choose_em_cutoff(2 + 1e300j) == _X_CAP
