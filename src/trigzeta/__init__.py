@@ -5,7 +5,7 @@ The package has four layers:
 * :mod:`trigzeta.trig_sums` -- the finite trigonometric power sums
   whose q -> infinity limit is zeta(s) for Re(s) > 1, plus the catalog
   of classical special cases.
-* :mod:`trigzeta.oracle` -- six independent classical reference
+* :mod:`trigzeta.oracle` -- eight independent classical reference
   computations of zeta used for cross-validation.
 * :mod:`trigzeta.tannery` -- a checkable harness for the
   limit-interchange theorem that justifies the representations.
@@ -38,7 +38,9 @@ from .oracle import (
     reference_zeta,
     sieve_primes,
     stieltjes,
+    zeta_borwein,
     zeta_dirichlet,
+    zeta_em_bernoulli,
     zeta_eta,
     zeta_euler_maclaurin,
     zeta_euler_product,
@@ -119,7 +121,9 @@ __all__ = [
     "upper_index",
     "verify_condition_i",
     "verify_condition_ii",
+    "zeta_borwein",
     "zeta_dirichlet",
+    "zeta_em_bernoulli",
     "zeta_eta",
     "zeta_euler_maclaurin",
     "zeta_euler_product",

@@ -1,4 +1,5 @@
-"""Chunked exact summation of numpy term arrays.
+"""Chunked exact summation of numpy term arrays, and powers of positive
+arrays.
 
 Every large sum in the package (the finite trigonometric sums, both
 sides of the Tannery identity, the oracle's series, integral and
@@ -39,6 +40,10 @@ a float itself, and the one rounding in step 4 leaves it unchanged.
 Blocks of _CHUNK = 4096 terms keep the working set a few hundred
 kilobytes whatever the length of the sum; larger blocks buy little
 speed and cost memory.
+
+The terms themselves are mostly powers b^s of positive reals b (the
+finite sums' bases, the oracle's n^-s); :func:`positive_power` is the
+one place that evaluates them.
 """
 
 from __future__ import annotations
@@ -68,6 +73,24 @@ def value_blocks(values: Iterable[complex]) -> Iterator[np.ndarray]:
     it = iter(values)
     while block := list(itertools.islice(it, _CHUNK)):
         yield np.array(block, dtype=np.complex128)
+
+
+def positive_power(base: np.ndarray, s: complex) -> np.ndarray:
+    """base**s for an array of positive reals, branch-free.
+
+    Real s uses ``np.power``.  Complex s uses exp(s ln b) with the real
+    natural logarithm, as exp(sigma ln b) (cos(t ln b) + i sin(t ln b)),
+    so conjugate exponents give exactly conjugate results.
+    """
+    if s.imag == 0.0:
+        return np.power(base, s.real)
+    log_base = np.log(base)
+    magnitude = np.exp(s.real * log_base)
+    phase = s.imag * log_base
+    out = np.empty(base.shape, dtype=np.complex128)
+    out.real = magnitude * np.cos(phase)
+    out.imag = magnitude * np.sin(phase)
+    return out
 
 
 def _column_sum(limbs: np.ndarray) -> int:

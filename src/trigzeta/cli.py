@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import convergence, oracle, tannery, trig_sums
+from .convergence import _fmt
 from .errors import (
     CrossCheckError,
     DomainError,
@@ -61,10 +62,6 @@ def parse_complex(text: str) -> complex:
     if not (math.isfinite(real) and math.isfinite(imag)):
         raise UsageError(f"complex literal {text!r} is not finite in binary64")
     return complex(real, imag)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -230,12 +227,8 @@ def _run_eval(config: CliConfig) -> int:
     ref = oracle.reference_zeta(config.s)
     abs_error = abs(ev.value - ref.value)
     if config.output == "csv":
-        rel = abs_error / abs(ref.value)
-        text = (
-            "q,re_estimate,im_estimate,abs_error,rel_error\n"
-            f"{ev.q},{_fmt(ev.value.real)},{_fmt(ev.value.imag)},"
-            f"{_fmt(abs_error)},{_fmt(rel)}\n"
-        )
+        record = convergence.SweepRecord(q=ev.q, estimate=ev.value, abs_error=abs_error)
+        text = convergence.to_csv(convergence.ConvergenceSeries((record,), ref, None, None))
     elif config.output == "json":
         text = (
             json.dumps(
@@ -358,19 +351,33 @@ def _suite_bernoulli() -> list[str]:
     return failures
 
 
-_CROSS_S = (1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0)
+#: Re(s) > 1, then the critical strip 0 < Re(s) <= 1.
+_CROSS_S = (1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0, 0.5, 0.9, 0.5 + 18j)
 
 
-def _suite_cross() -> list[str]:
-    failures = []
-    for s in _CROSS_S:
-        s = complex(s)
+def _cross_routes(s: complex) -> list[oracle.ZetaReference]:
+    """Every route that reaches s; Euler-Maclaurin-Bernoulli and Borwein
+    at the parameters reference_zeta uses for 0 < Re(s) <= 1."""
+    if s.real > 1.0:
         refs = [
             oracle.zeta_dirichlet(s, 1_000_000),
             oracle.zeta_eta(s, 1_000_000),
             oracle.zeta_euler_maclaurin(s, 64, oracle._choose_em_cutoff(s)),
             oracle.zeta_euler_product(s, oracle.sieve_primes(100_000)),
         ]
+    else:
+        refs = [
+            oracle.zeta_eta(s, 1_000_000),
+            oracle.zeta_euler_maclaurin(s, 64, 1_000_000),
+        ]
+    return [*refs, *oracle._em_borwein_pair(s)]
+
+
+def _suite_cross() -> list[str]:
+    failures = []
+    for s in _CROSS_S:
+        s = complex(s)
+        refs = _cross_routes(s)
         for i in range(len(refs)):
             for j in range(i + 1, len(refs)):
                 a, b = refs[i], refs[j]

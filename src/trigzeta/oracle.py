@@ -1,20 +1,32 @@
 """Independent reference computations of the Riemann zeta function.
 
-Six classical routes are implemented and cross-validated against each
-other, so the limit representations in :mod:`trigzeta.trig_sums` can be
-checked against references that share none of their code:
+Eight classical routes are implemented and cross-validated against
+each other, so the limit representations in :mod:`trigzeta.trig_sums`
+can be checked against references that share nothing with them but
+the power and summation primitives of :mod:`trigzeta.accumulate`:
 
 * ``zeta_dirichlet``       -- truncated sum of 1/n^s            (Re s > 1)
 * ``zeta_eta``             -- alternating series with the
   (1 - 2^(1-s))^-1 prefactor                                    (Re s > 0)
 * ``zeta_euler_maclaurin`` -- partial sum + n^(1-s)/(s-1) - s * integral
   of the fractional part, with per-unit-interval closed forms   (Re s > 0)
+* ``zeta_em_bernoulli``    -- partial sum to N plus the Euler-Maclaurin
+  endpoint terms with K Bernoulli corrections, Backlund's bound (Re s > 0)
+* ``zeta_borwein``         -- P. Borwein's accelerated eta series with
+  exact integer weights                                         (Re s > 0)
 * ``zeta_euler_product``   -- product over primes of (1-p^-s)^-1,
   accumulated in the log domain                                 (Re s > 1)
 * ``zeta_even``            -- exact Bernoulli-number closed form for
   even integer arguments
 * ``zeta_laurent``         -- truncated Laurent expansion about s = 1
   with numerically estimated Stieltjes constants
+
+``reference_zeta`` reports one route and cross-checks it against a
+second.  For Re(s) > 1 both are floor-function Euler-Maclaurin routes
+(cutoff chosen for a 1e-10 bound, and the whole Dirichlet sum to 10^6).
+For 0 < Re(s) <= 1, where the paper's limits do not hold, it reports
+``zeta_em_bernoulli`` at N = 20 + ceil(|Im s|) and checks it against
+``zeta_borwein``; both cost O(|Im s|) terms, not 10^6.
 
 Every ``error_bound`` is a truncation bound (rigorous where the
 docstring says so, heuristic otherwise) plus a small binary64 rounding
@@ -38,29 +50,34 @@ from pathlib import Path
 
 import numpy as np
 
-from .accumulate import exact_sum, index_blocks
+from .accumulate import exact_sum, index_blocks, positive_power
 from .errors import CrossCheckError, DomainError, UnsupportedRangeError
 from .io_utils import write_text_atomic
 
 _EPS = sys.float_info.epsilon
 
-# Reference dispatch targets: truncation bound aimed for by reference_zeta,
-# and the largest Euler-Maclaurin integral cutoff it will pay for.
+# Reference dispatch targets for Re(s) > 1: truncation bound aimed for by
+# reference_zeta, and the largest Euler-Maclaurin integral cutoff it will
+# pay for.
 _REFERENCE_TARGET = 1e-10
 _X_CAP = 8_000_000
+
+# Reference dispatch for 0 < Re(s) <= 1.  With N = 20 + ceil(|t|) the
+# k-th Bernoulli correction is about |s + 2k|^2/(2 pi N)^2 times the one
+# before, so twenty leave Backlund's remainder far below rounding.
+# Borwein's n is the smallest whose truncation bound is below
+# _BORWEIN_TARGET; it grows by about 0.89 per unit of |t|, so the cap
+# reaches |t| of about 4500.
+_EM_TERMS = 20
+_BORWEIN_TARGET = 1e-17
+_BORWEIN_MAX_N = 4096
+_LN2 = math.log(2.0)
 
 
 def _rounding_floor(scale: float) -> float:
     """Heuristic binary64 rounding floor for a sum whose absolute
     contributions total ``scale``."""
     return 4.0 * _EPS * scale
-
-
-def _pow_array(k: np.ndarray, exponent: complex) -> np.ndarray:
-    """k**exponent for a positive float array, real or complex dtype."""
-    if exponent.imag == 0.0:
-        return np.power(k, exponent.real)
-    return np.power(k.astype(np.complex128), exponent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +168,7 @@ def sieve_primes(limit: int) -> PrimeCache:
 @lru_cache(maxsize=64)
 def _dirichlet_sum(s: complex, N: int) -> tuple[complex, float]:
     """(sum_{n<=N} n^-s, sum of magnitudes), summed exactly."""
-    return exact_sum(_pow_array(k, -s) for k in index_blocks(1, N + 1))
+    return exact_sum(positive_power(k, -s) for k in index_blocks(1, N + 1))
 
 
 def zeta_dirichlet(s: complex, N: int) -> ZetaReference:
@@ -171,17 +188,25 @@ def zeta_dirichlet(s: complex, N: int) -> ZetaReference:
     return ZetaReference(value, "dirichlet", tail + _rounding_floor(mag))
 
 
-def _eta_prefactor(s: complex) -> complex:
-    """(1 - 2^(1-s))^-1, raising on the prefactor pole set."""
+def _eta_denominator(s: complex) -> complex:
+    """1 - 2^(1-s), raising on the pole set 2^(1-s) = 1.
+
+    Evaluated as -expm1((1-s) ln 2) with
+    expm1(x + iy) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y,
+    so it keeps its relative accuracy near s = 1.
+    """
     if s == 1:
         raise DomainError("eta relation is singular at s = 1")
-    w = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
+    x = (1.0 - s.real) * _LN2
+    y = -s.imag * _LN2
+    re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
+    w = complex(-re, -math.exp(x) * math.sin(y))
     if abs(w) < 1e-9:
         raise DomainError(
             f"s={s} lies on the prefactor pole set 2^(1-s) = 1; "
             "the eta relation is numerically singular there"
         )
-    return 1.0 / w
+    return w
 
 
 def zeta_eta(s: complex, N: int) -> ZetaReference:
@@ -197,10 +222,10 @@ def zeta_eta(s: complex, N: int) -> ZetaReference:
         raise DomainError(f"eta series needs Re(s) > 0, got Re(s)={s.real}")
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
-    pref = _eta_prefactor(s)
+    pref = 1.0 / _eta_denominator(s)
 
     def alternating(k: np.ndarray) -> np.ndarray:
-        t = _pow_array(k, -s)
+        t = positive_power(k, -s)
         return np.where(k % 2 == 1, t, -t)
 
     alt, mag = exact_sum(alternating(k) for k in index_blocks(1, N + 1))
@@ -224,8 +249,8 @@ def _em_integral(s: complex, n: int, X: int) -> tuple[complex, float]:
 
     def interval(k: np.ndarray) -> np.ndarray:
         k1 = k + 1.0
-        term = (_pow_array(k1, one_minus_s) - _pow_array(k, one_minus_s)) / one_minus_s
-        return term + (k / s) * (_pow_array(k1, -s) - _pow_array(k, -s))
+        term = (positive_power(k1, one_minus_s) - positive_power(k, one_minus_s)) / one_minus_s
+        return term + (k / s) * (positive_power(k1, -s) - positive_power(k, -s))
 
     return exact_sum(interval(k) for k in index_blocks(n, X))
 
@@ -266,7 +291,7 @@ def zeta_euler_maclaurin(s: complex, n: int, X: int) -> ZetaReference:
 def _euler_product_cached(s: complex, limit: int) -> ZetaReference:
     cache = sieve_primes(limit)
     p = np.asarray(cache.primes, dtype=np.float64)
-    log_total, log_mag = exact_sum([np.log1p(-_pow_array(p, -s))])
+    log_total, log_mag = exact_sum([np.log1p(-positive_power(p, -s))])
     value = cmath.exp(-log_total)
     sigma = s.real
     tail = limit ** (1.0 - sigma) / (sigma - 1.0)
@@ -336,6 +361,119 @@ def zeta_even(n: int) -> ZetaReference:
         v = v * mpmath.mpf(rational.numerator) / mpmath.mpf(rational.denominator)
         value = float(v)
     return ZetaReference(complex(value), "bernoulli", 2.0 * math.ulp(abs(value)))
+
+
+@lru_cache(maxsize=4)
+def _bernoulli_coefficients(K: int) -> tuple[float, ...]:
+    """B_2k/(2k)! for k = 1..K, each rounded once from the exact table."""
+    table = bernoulli_numbers(K)
+    return tuple(
+        float(table[2 * k] / math.factorial(2 * k)) for k in range(1, K + 1)
+    )
+
+
+def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
+    """Euler-Maclaurin summation with K Bernoulli corrections,
+
+        zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+                  + sum_{k=1}^{K} T_k + R_K,
+        T_k = B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(1-s-2k).
+
+    Valid for Re(s) > 0, s != 1, N >= 1 and 1 <= K <= 59 (the bound
+    needs B_{2K+2}, and the exact table stops at B_120).  Backlund's
+    bound |R_K| <= |s+2K+1|/(Re s+2K+1) |T_{K+1}| (Edwards, Riemann's
+    Zeta Function, 6.4) is rigorous.  The rounding floor is
+    (4|s|(1 + ln N) + 4) eps times the sum of |contribution|: each
+    power's phase t ln n is formed from a rounded logarithm.
+    """
+    s = complex(s)
+    if not s.real > 0.0:
+        raise DomainError(f"needs Re(s) > 0, got Re(s)={s.real}")
+    if s == 1:
+        raise DomainError("zeta has its pole at s = 1")
+    if N < 1:
+        raise DomainError(f"N must be positive, got {N}")
+    if K < 1:
+        raise DomainError(f"K must be positive, got {K}")
+    if K >= _BERNOULLI_MAX_K:
+        raise UnsupportedRangeError(
+            f"K={K} exceeds supported maximum {_BERNOULLI_MAX_K - 1}"
+        )
+    partial, partial_mag = _dirichlet_sum(s, N - 1)
+    n_pow = complex(positive_power(np.array([float(N)]), -s)[0])  # N^-s
+    pole = N * n_pow / (s - 1.0)
+    half = 0.5 * n_pow
+    # T_k = b_k * rising_k * N^-s with rising_k = s(s+1)...(s+2k-2)/N^(2k-1),
+    # carried as a ratio so that no factor overflows at large |t|
+    corrections = []
+    rising = s / N
+    for k, b in enumerate(_bernoulli_coefficients(K + 1), start=1):
+        if k > 1:
+            rising *= (s + (2 * k - 3)) * (s + (2 * k - 2)) / (N * N)
+        corrections.append(b * rising * n_pow)
+    last = corrections.pop()
+    value = partial + pole + half + sum(corrections)
+    remainder = abs(s + (2 * K + 1)) / (s.real + 2 * K + 1) * abs(last)
+    scale = partial_mag + abs(pole) + abs(half) + sum(abs(c) for c in corrections)
+    floor = (4.0 * abs(s) * (1.0 + math.log(N)) + 4.0) * _EPS * scale
+    value_out = value.real if s.imag == 0.0 else value
+    return ZetaReference(complex(value_out), "em_bernoulli", remainder + floor)
+
+
+@lru_cache(maxsize=16)
+def _borwein_weights(n: int) -> tuple[np.ndarray, int]:
+    """((-1)^k (d_n - d_k)/d_n for k = 0..n-1, each rounded once; d_n),
+    with d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) in exact
+    integers (the summands are the coefficients of the shifted
+    Chebyshev polynomial T_n(1 + 2x), so every division is exact)."""
+    term, d = 1, 0
+    partial = []
+    for i in range(n + 1):
+        d += term
+        partial.append(d)
+        term = term * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
+    d_n = partial[n]
+    weights = np.array([(d_n - d_k) / d_n for d_k in partial[:n]])
+    weights[1::2] *= -1.0
+    weights.flags.writeable = False
+    return weights, d_n
+
+
+def _borwein_log_scale(s: complex) -> float:
+    """ln(Gamma(Re s) / (|Gamma(s)| |1 - 2^(1-s)|)); Borwein's truncation
+    bound is its exponential over d_n."""
+    import mpmath  # imported by its only users, so `import trigzeta` skips it
+
+    log_abs_gamma = float(mpmath.loggamma(s).real)
+    return math.lgamma(s.real) - log_abs_gamma - math.log(abs(_eta_denominator(s)))
+
+
+def zeta_borwein(s: complex, n: int) -> ZetaReference:
+    """P. Borwein's accelerated eta series ("An efficient algorithm for
+    the Riemann zeta function", CMS Conf. Proc. 27, 2000, Algorithm 2),
+
+        zeta(s) = -1/(d_n (1 - 2^(1-s)))
+                  * sum_{k<n} (-1)^k (d_k - d_n) (k+1)^-s + gamma_n(s).
+
+    Valid for Re(s) > 0 away from the pole set 2^(1-s) = 1.  The bound
+    |gamma_n(s)| <= Gamma(sigma)/(d_n |Gamma(s)| |1 - 2^(1-s)|) is
+    rigorous; d_n > (3 + sqrt 8)^n / 2, so n grows about linearly in
+    |Im s|.  Rounding floor as in ``zeta_em_bernoulli``, with n in place
+    of N, over |1 - 2^(1-s)| times the sum of |term|.
+    """
+    s = complex(s)
+    if not s.real > 0.0:
+        raise DomainError(f"Borwein's series needs Re(s) > 0, got Re(s)={s.real}")
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    w = _eta_denominator(s)
+    weights, d_n = _borwein_weights(n)
+    total, mag = exact_sum([weights * positive_power(np.arange(1.0, n + 1.0), -s)])
+    value = total / w
+    truncation = math.exp(_borwein_log_scale(s) - math.log(d_n))
+    floor = (4.0 * abs(s) * (1.0 + math.log(n)) + 4.0) * _EPS * mag / abs(w)
+    value_out = value.real if s.imag == 0.0 else value
+    return ZetaReference(complex(value_out), "borwein", truncation + floor)
 
 
 _STIELTJES_MAX_N = 8
@@ -451,17 +589,56 @@ def _choose_em_cutoff(s: complex) -> int:
     return max(64, math.ceil(math.exp(log_x)))
 
 
+def _borwein_order(s: complex) -> int:
+    """Smallest n whose Borwein truncation bound is below _BORWEIN_TARGET
+    (from d_n > (3 + sqrt 8)^n / 2), worked in log space.
+
+    Raises:
+        UnsupportedRangeError: when that n exceeds _BORWEIN_MAX_N.
+    """
+    log_need = _borwein_log_scale(s) + _LN2 - math.log(_BORWEIN_TARGET)
+    n_real = log_need / math.log(3.0 + math.sqrt(8.0))
+    if not n_real <= _BORWEIN_MAX_N:
+        raise UnsupportedRangeError(
+            f"no reference at s={s}: Borwein's series needs about "
+            f"{n_real:.3g} terms, more than the {_BORWEIN_MAX_N} it pays for"
+        )
+    return max(1, math.ceil(n_real))
+
+
+def _em_borwein_pair(s: complex) -> tuple[ZetaReference, ZetaReference]:
+    """(zeta_em_bernoulli, zeta_borwein) at the parameters reference_zeta
+    uses: N = 20 + ceil(|Im s|) with _EM_TERMS corrections, and Borwein's
+    n from _borwein_order, which refuses before any summation."""
+    n = _borwein_order(s)
+    em = zeta_em_bernoulli(s, 20 + math.ceil(abs(s.imag)), _EM_TERMS)
+    return em, zeta_borwein(s, n)
+
+
 def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
     """(route reported, route it is cross-checked against) at s.
 
-    For Re(s) > 1 both routes are Euler-Maclaurin and the one with the
-    smaller error bound is reported; below, the eta route is.
+    For Re(s) > 1 both routes are floor-function Euler-Maclaurin and the
+    one with the smaller error bound is reported; for 0 < Re(s) <= 1 the
+    Euler-Maclaurin-Bernoulli route is, checked by Borwein's series.
+
+    Raises:
+        UnsupportedRangeError: before any summation, when Re(s) > 1 and
+            even the largest cutoff, _X_CAP, leaves the Euler-Maclaurin
+            tail bound |s| X^-sigma/sigma at 1 or more (huge |Im s|), or
+            when Re(s) <= 1 and Borwein's n would exceed _BORWEIN_MAX_N.
     """
     if s.real > 1.0:
+        bound = abs(s) * _X_CAP ** -s.real / s.real
+        if not bound < 1.0:
+            raise UnsupportedRangeError(
+                f"no reference at s={s}: the Euler-Maclaurin tail bound at the "
+                f"largest cutoff {_X_CAP} is {bound:.3e}, not below 1"
+            )
         cut = zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s))
         full = zeta_euler_maclaurin(s, 1_000_000, 1_000_000)
         return (cut, full) if cut.error_bound <= full.error_bound else (full, cut)
-    return zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)
+    return _em_borwein_pair(s)
 
 
 @lru_cache(maxsize=128)
@@ -472,29 +649,25 @@ def reference_zeta(s: complex) -> ZetaReference:
     for a 1e-10 bound and one with the whole Dirichlet sum to N = 10^6
     and no integral (bound |s| N^-sigma/sigma); the one with the
     smaller bound is reported and the other checks it.
-    0 < Re(s) <= 1: the eta route at N = 10^6, cross-checked against
-    Euler-Maclaurin.  The two must agree within 10x the sum of their
-    reported bounds, else a CrossCheckError carries both values.
+    0 < Re(s) <= 1: Euler-Maclaurin with Bernoulli corrections at
+    N = 20 + ceil(|Im s|), cross-checked against Borwein's series.
+    The two must agree within 10x the sum of their reported bounds,
+    else a CrossCheckError carries both values.
 
     Raises:
-        UnsupportedRangeError: before any summation, when even the
-            largest cutoff it pays for, _X_CAP, leaves the
-            Euler-Maclaurin tail bound |s| X^-sigma/sigma at 1 or more
-            (huge |Im s|, sigma near 0, or a non-finite s); and after
-            it, when the cross-check allowance is not below the
-            reported |value|, so the check could not fail.
+        UnsupportedRangeError: for a non-finite s; before any summation
+            when the routes would not reach a useful bound (see
+            _reference_routes); and after it, when the cross-check
+            allowance is not below the reported |value|, so the check
+            could not fail (at a zero, for instance).
     """
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"reference needs Re(s) > 0, got Re(s)={s.real}")
     if s == 1:
         raise DomainError("zeta has its pole at s = 1")
-    bound = abs(s) * _X_CAP ** -s.real / s.real
-    if not bound < 1.0:
-        raise UnsupportedRangeError(
-            f"no reference at s={s}: the Euler-Maclaurin tail bound at the "
-            f"largest cutoff {_X_CAP} is {bound:.3e}, not below 1"
-        )
+    if not cmath.isfinite(s):
+        raise UnsupportedRangeError(f"no reference at the non-finite s={s}")
     best, other = _reference_routes(s)
     gap = abs(best.value - other.value)
     allowance = 10.0 * (best.error_bound + other.error_bound)

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .accumulate import exact_sum, value_blocks
-from .errors import DomainError
+from .errors import DomainError, UnsupportedRangeError
 from .trig_sums import TrigKind, TrigSumSpec, _term, upper_index
 
 # Dominance is exact in exact arithmetic; allow a hair of float slack.
@@ -203,6 +203,10 @@ def term_bound(kind: TrigKind, p: int, m: int, n: int, s: float) -> float:
 
     Requires real s > 0; below that the bounding series has no chance
     of converging and the derivation itself needs s > 0.
+
+    Raises:
+        UnsupportedRangeError: when a power or the bound overflows
+            binary64.
     """
     kind = TrigKind(kind)
     if p < 1:
@@ -210,10 +214,17 @@ def term_bound(kind: TrigKind, p: int, m: int, n: int, s: float) -> float:
     if not s > 0.0:
         raise DomainError(f"dominating bound needs real s > 0, got {s}")
     c = c_bound(m, n)
-    base = c**s / p**s
-    if kind is TrigKind.CSC:
-        return (math.pi / 2.0) ** s * base
-    return base
+    try:
+        bound = c**s / p**s
+        if kind is TrigKind.CSC:
+            bound *= (math.pi / 2.0) ** s
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise UnsupportedRangeError(
+            f"the dominating bound at p={p}, s={s} overflows binary64"
+        )
+    return bound
 
 
 def zeta_trig_instance(kind: TrigKind, m: int, n: int, s: float) -> TanneryInstance:

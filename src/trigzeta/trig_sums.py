@@ -20,7 +20,8 @@ exp(s * ln base) with the real natural logarithm, that is
 exp(sigma ln b) (cos(t ln b) + i sin(t ln b)); real powers use pow,
 identical in exact arithmetic.  ``term`` evaluates one summand with the
 math module; ``finite_trig_sum`` evaluates the same operations, in the
-same order, with numpy over blocks of p and sums them exactly
+same order, with numpy over blocks of p (the power through
+:func:`trigzeta.accumulate.positive_power`) and sums them exactly
 (:mod:`trigzeta.accumulate`).
 
 All functions here are pure; the module holds no mutable state and is
@@ -38,8 +39,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accumulate import exact_sum, index_blocks
-from .errors import DomainError
+from .accumulate import exact_sum, index_blocks, positive_power
+from .errors import DomainError, UnsupportedRangeError
 
 
 class TrigKind(str, Enum):
@@ -126,6 +127,7 @@ def term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
     Raises:
         DomainError: for inadmissible (q, n) or p outside
             1..upper_index(q, n).
+        UnsupportedRangeError: when the summand overflows binary64.
     """
     upper = upper_index(q, spec.n)
     if not 1 <= p <= upper:
@@ -142,9 +144,14 @@ def _term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
     else:
         trig = 1.0 / math.sin(angle)
     base = (math.pi / (2 * q + spec.m)) * trig
-    if s.imag == 0.0:
-        return complex(math.pow(base, s.real), 0.0)
-    return cmath.exp(s * math.log(base))
+    try:
+        if s.imag == 0.0:
+            return complex(math.pow(base, s.real), 0.0)
+        return cmath.exp(s * math.log(base))
+    except OverflowError:
+        raise UnsupportedRangeError(
+            f"term p={p} at q={q}, s={s} overflows binary64"
+        ) from None
 
 
 def _block_terms(spec: TrigSumSpec, p: np.ndarray, q: int, s: complex) -> np.ndarray:
@@ -153,15 +160,7 @@ def _block_terms(spec: TrigSumSpec, p: np.ndarray, q: int, s: complex) -> np.nda
     sin = np.sin(angle)
     trig = np.cos(angle) / sin if spec.kind is TrigKind.COT else 1.0 / sin
     base = (math.pi / (2 * q + spec.m)) * trig
-    if s.imag == 0.0:
-        return np.power(base, s.real)
-    log_base = np.log(base)
-    magnitude = np.exp(s.real * log_base)
-    phase = s.imag * log_base
-    out = np.empty(p.shape, dtype=np.complex128)
-    out.real = magnitude * np.cos(phase)
-    out.imag = magnitude * np.sin(phase)
-    return out
+    return positive_power(base, s)
 
 
 def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
@@ -171,17 +170,28 @@ def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
     :func:`trigzeta.accumulate.exact_sum`; memory stays a few hundred
     kilobytes at any q.  For real s > 1 the result is a strictly
     positive real (imaginary part exactly zero).
+
+    Raises:
+        UnsupportedRangeError: when the value or its rounding bound is
+            not finite in binary64 (a term or the sum overflows).
     """
     s = complex(s)
     upper = upper_index(q, spec.n)
-    value, magnitude = exact_sum(
-        _block_terms(spec, p, q, s) for p in index_blocks(1, upper + 1)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value, magnitude = exact_sum(
+                _block_terms(spec, p, q, s) for p in index_blocks(1, upper + 1)
+            )
+        except (OverflowError, ValueError):
+            # math.fsum raises on inf - inf and on partial sums past the range
+            value, magnitude = complex(math.nan), math.inf
+    rounding_bound = (4.0 * abs(s) + 4.0) * sys.float_info.epsilon * magnitude
+    if not (cmath.isfinite(value) and math.isfinite(rounding_bound)):
+        raise UnsupportedRangeError(
+            f"the sum at q={q}, s={s} is not finite in binary64"
+        )
     return SumEvaluation(
-        q=q,
-        term_count=upper,
-        value=value,
-        rounding_bound=(4.0 * abs(s) + 4.0) * sys.float_info.epsilon * magnitude,
+        q=q, term_count=upper, value=value, rounding_bound=rounding_bound
     )
 
 

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trigzeta.accumulate import _CHUNK, block_sum, exact_sum, index_blocks, value_blocks
+from trigzeta.accumulate import (
+    _CHUNK,
+    block_sum,
+    exact_sum,
+    index_blocks,
+    positive_power,
+    value_blocks,
+)
 from trigzeta.trig_sums import _block_terms, classical_form, upper_index
 
 
@@ -117,3 +124,20 @@ def test_zero_blocks_stay_in_numpy(monkeypatch):
     monkeypatch.setattr(math, "fsum", _no_fsum)
     assert block_sum(np.zeros(_CHUNK)).hex() == "0x0.0p+0"
     assert block_sum(np.full(_CHUNK, -0.0)).hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("s", [2.5 + 1.3j, -0.5 + 18j, 1e-3 - 40j, -3 - 2j])
+def test_positive_power_complex(s):
+    base = np.concatenate([np.arange(1.0, 200.0), [1e-5, 0.37, 12345.678]])
+    got = positive_power(base, s)
+    assert got.dtype == np.complex128
+    # exact conjugates, and numpy's complex power to a few ulps
+    assert np.array_equal(positive_power(base, s.conjugate()), got.conj())
+    want = np.power(base.astype(np.complex128), s)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_positive_power_real_is_np_power():
+    base = np.arange(1.0, 5000.0)
+    for s in (2.0, -0.5, 30.0):
+        assert np.array_equal(positive_power(base, complex(s)), np.power(base, s))

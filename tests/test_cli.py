@@ -1,13 +1,18 @@
 """Tests for the command-line front end: parsing, execution, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trigzeta as tz
 from trigzeta import cli
@@ -168,7 +173,13 @@ class TestExecution:
             ("eval", "--s", "1e400", "--rep", "E28", "--q", "10"),
             ("eval", "--s", "2+1e300i", "--rep", "E28", "--q", "10"),
             ("oracle", "--s", "1e400"),
-            ("oracle", "--s", "0.001"),
+            # the first zero: the cross-check allowance exceeds |zeta|
+            ("oracle", "--s", "0.5+14.134725141734693i"),
+            # sums and dominating bounds that overflow binary64
+            ("eval", "--s", "1e300", "--rep", "E28", "--q", "10"),
+            ("converge", "--s", "1e300", "--rep", "E28"),
+            ("verify", "--suite", "tannery", "--s", "400"),
+            ("verify", "--suite", "tannery", "--s", "1e300"),
         ],
     )
     def test_bad_s_one_error_line(self, args):
@@ -243,3 +254,81 @@ class TestDeterminismAndFiles:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert not missing.exists()
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main in process: (status, stdout, stderr), with every warning
+    written to stderr as Python would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+    for w in caught:
+        err.write(f"{w.category.__name__}: {w.message}\n")
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_eval_csv_is_to_csv_of_one_record():
+    status, out, _ = run_main(["eval", "--s", "2.5+1.3i", "--rep", "E31", "--q", "500",
+                               "--output", "csv"])
+    assert status == 0
+    s = 2.5 + 1.3j
+    ev = tz.finite_trig_sum(tz.classical_form("E31"), 500, s)
+    ref = tz.reference_zeta(s)
+    record = tz.SweepRecord(q=500, estimate=ev.value, abs_error=abs(ev.value - ref.value))
+    assert out == tz.convergence.to_csv(tz.ConvergenceSeries((record,), ref, None, None))
+
+
+def _literal(re: float, im: float) -> str:
+    if im == 0.0:
+        return repr(re)
+    return f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i"
+
+
+_S_LITERALS = st.one_of(
+    # huge, tiny, non-finite, negative and malformed
+    st.sampled_from([
+        "1e300", "-1e300", "1e400", "inf", "nan", "-2", "0", "1", "1e-300", "5e-324",
+        "400", "2+1e300i", "1e300+1e300i", "0.5+1e300i", "0.5+5000i", "abc", "", "2+i",
+        "1.2.3", "2,5", "--1",
+    ]),
+    # the critical strip; 1 < Re(s) < 2 stays out (a cold reference costs up to 0.5 s)
+    st.builds(_literal, st.floats(0.001, 1.0), st.floats(-40.0, 40.0)),
+    st.builds(_literal, st.floats(2.0, 60.0), st.one_of(st.just(0.0), st.floats(-30.0, 30.0))),
+)
+_OUTPUT = st.sampled_from([[], ["--output", "csv"], ["--output", "json"]])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    s = draw(_S_LITERALS)
+    command = draw(st.sampled_from(["eval", "converge", "oracle", "verify"]))
+    if command == "verify":
+        return ["verify", "--suite", "tannery", "--s", s]
+    if command == "oracle":
+        return ["oracle", "--s", s, *draw(_OUTPUT)]
+    rep = ["--rep", draw(st.sampled_from(tz.CATALOG_IDS))]
+    if command == "eval":
+        return ["eval", "--s", s, *rep, "--q", str(draw(st.integers(-2, 1000))), *draw(_OUTPUT)]
+    # q0 * 2^(steps-1) <= 1000
+    steps = draw(st.integers(1, 4))
+    q0 = draw(st.integers(0, 1000 >> (steps - 1)))
+    return ["converge", "--s", s, *rep, "--q0", str(q0), "--steps", str(steps), *draw(_OUTPUT)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_argv())
+@example(["eval", "--s", "1e300", "--rep", "E28", "--q", "10"])
+@example(["converge", "--s", "1e300", "--rep", "E28", "--q0", "10", "--steps", "3"])
+@example(["verify", "--suite", "tannery", "--s", "400"])
+@example(["verify", "--suite", "tannery", "--s", "1e300"])
+@example(["oracle", "--s", "0.5+14.134725141734693i"])
+def test_any_argv_exits_cleanly(argv):
+    status, _, err = run_main(argv)
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

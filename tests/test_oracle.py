@@ -10,7 +10,15 @@ from scipy.integrate import quad
 
 import trigzeta as tz
 from trigzeta.errors import DomainError, UnsupportedRangeError
-from trigzeta.oracle import _X_CAP, _choose_em_cutoff, _em_integral, _reference_routes
+from trigzeta.oracle import (
+    _X_CAP,
+    _borwein_weights,
+    _choose_em_cutoff,
+    _em_borwein_pair,
+    _em_integral,
+    _eta_denominator,
+    _reference_routes,
+)
 
 PI = math.pi
 ZETA2 = PI**2 / 6
@@ -278,6 +286,98 @@ class TestLaurent:
             tz.zeta_laurent(1, stieltjes_table)
 
 
+def mp_zeta(s: complex, dps: int = 50) -> mpmath.mpc:
+    with mpmath.workdps(dps):
+        return mpmath.zeta(mpmath.mpc(s))
+
+
+def gap_to(value: complex, exact: mpmath.mpc) -> float:
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpc(value) - exact))
+
+
+# truncation-dominated grid: sigma from 0.01 to 2.5, |t| up to 40
+ROUTE_S = [0.01, 0.5, 0.99, 1.5, 2.5, 0.3 + 7j, 0.01 - 5j, 0.5 + 18j, 0.9 + 40j, 2.5 + 1.3j]
+
+
+class TestEulerMaclaurinBernoulli:
+    @pytest.mark.parametrize("s", ROUTE_S)
+    @pytest.mark.parametrize("N,K", [(2, 1), (3, 2), (5, 4), (10, 8)])
+    def test_backlund_bound_holds_when_truncation_dominates(self, s, N, K):
+        ref = tz.zeta_em_bernoulli(s, N, K)
+        assert ref.method == "em_bernoulli"
+        assert gap_to(ref.value, mp_zeta(s)) <= ref.error_bound
+
+    def test_real_s_and_exact_conjugates(self):
+        assert tz.zeta_em_bernoulli(0.5, 20, 20).value.imag == 0.0
+        s = 0.3 + 7j
+        a = tz.zeta_em_bernoulli(s, 27, 20).value
+        assert tz.zeta_em_bernoulli(s.conjugate(), 27, 20).value == a.conjugate()
+
+    def test_domain_errors(self):
+        for s, N, K in [(1, 20, 20), (0.0, 20, 20), (-1 + 2j, 20, 20), (0.5, 0, 20), (0.5, 20, 0)]:
+            with pytest.raises(DomainError):
+                tz.zeta_em_bernoulli(s, N, K)
+        tz.zeta_em_bernoulli(0.5, 20, 59)
+        with pytest.raises(UnsupportedRangeError):
+            tz.zeta_em_bernoulli(0.5, 20, 60)
+
+
+class TestBorwein:
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+    def test_weights_from_the_chebyshev_closed_form(self, n):
+        # d_n = T_n(3) by T_{j+1} = 6 T_j - T_{j-1}; d_k by Fractions
+        weights, d_n = _borwein_weights(n)
+        cheb = [1, 3]
+        for _ in range(n):
+            cheb.append(6 * cheb[-1] - cheb[-2])
+        assert d_n == cheb[n]
+        d_k = Fraction(0)
+        for k in range(n):
+            d_k += Fraction(
+                n * math.factorial(n + k - 1) * 4**k,
+                math.factorial(n - k) * math.factorial(2 * k),
+            )
+            assert weights[k] == float((-1) ** k * (d_n - d_k) / d_n)
+
+    @pytest.mark.parametrize("s", ROUTE_S)
+    @pytest.mark.parametrize("n", [5, 10, 20, 30])
+    def test_truncation_bound_holds(self, s, n):
+        ref = tz.zeta_borwein(s, n)
+        assert ref.method == "borwein"
+        assert gap_to(ref.value, mp_zeta(s)) <= ref.error_bound
+
+    @pytest.mark.parametrize("s", [0.99, 1.01, 1 + 1e-7, 1 + 1e-6j, 0.5 + 18j])
+    def test_prefactor_keeps_relative_accuracy_near_one(self, s):
+        with mpmath.workdps(50):
+            exact = 1 - mpmath.mpf(2) ** (1 - mpmath.mpc(s))
+            rel = float(abs(mpmath.mpc(_eta_denominator(complex(s))) - exact) / abs(exact))
+        assert rel <= 4 * sys.float_info.epsilon
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            tz.zeta_borwein(complex(1.0, 2 * PI / math.log(2.0)), 30)  # 2^(1-s) = 1
+        with pytest.raises(DomainError):
+            tz.zeta_borwein(0.0, 30)
+        with pytest.raises(DomainError):
+            tz.zeta_borwein(0.5, 0)
+
+
+@pytest.mark.parametrize("sigma", [0.001, 0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("t", [0.0, 3.0, 18.0, 40.0])
+def test_strip_pair_within_bounds(sigma, t):
+    """The reference pair for 0 < Re(s) <= 1 against 50-digit zeta."""
+    s = complex(sigma, t)
+    exact = mp_zeta(s)
+    em, bw = _em_borwein_pair(s)
+    for ref in (em, bw):
+        assert gap_to(ref.value, exact) <= ref.error_bound, ref.method
+    ref = tz.reference_zeta(s)
+    assert ref == em
+    assert gap_to(ref.value, exact) <= 1e-13 * float(abs(exact))
+    assert 10.0 * (em.error_bound + bw.error_bound) < float(abs(exact)) / 100
+
+
 class TestReferenceZeta:
     def test_at_two(self):
         ref = tz.reference_zeta(2)
@@ -297,10 +397,16 @@ class TestReferenceZeta:
         with pytest.raises(DomainError):
             tz.reference_zeta(-2.0)
 
-    def test_left_of_line_uses_eta(self):
+    def test_left_of_line_uses_em_bernoulli(self):
         ref = tz.reference_zeta(0.5)
-        assert ref.method == "eta"
-        assert ref.value.real == pytest.approx(-1.4603545, abs=5e-3)
+        assert ref.method == "em_bernoulli"
+        exact = float(mpmath.zeta(0.5))
+        assert abs(ref.value - exact) < 1e-13 * abs(exact)
+
+    def test_near_zero_real_part(self):
+        exact = float(mpmath.zeta(0.001))
+        assert exact == pytest.approx(-0.50092, abs=1e-5)
+        assert abs(tz.reference_zeta(0.001).value - exact) < 1e-13
 
     @pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.5 + 1.3j])
     def test_cross_check_can_fail(self, s):
@@ -311,7 +417,7 @@ class TestReferenceZeta:
         assert abs(best.value - other.value) <= allowance
 
     @pytest.mark.parametrize(
-        "s", [2 + 1e300j, complex(2, math.inf), complex(2, math.nan), 0.01 + 5j]
+        "s", [2 + 1e300j, complex(2, math.inf), complex(2, math.nan), 0.5 + 5000j]
     )
     def test_out_of_range_refused(self, s):
         with pytest.raises(UnsupportedRangeError):
@@ -323,9 +429,9 @@ class TestReferenceZeta:
         assert abs(tz.reference_zeta(s).value - exact) < 1e-14 * abs(exact)
 
     def test_vacuous_cross_check_refused(self):
-        # near sigma = 0 the eta route's bound dwarfs its value
+        # at the first zero both bounds dwarf |zeta|
         with pytest.raises(UnsupportedRangeError, match="allowance"):
-            tz.reference_zeta(0.001)
+            tz.reference_zeta(0.5 + 14.134725141734693j)
 
     def test_cutoff_without_overflow(self):
         assert _choose_em_cutoff(2 + 1e300j) == _X_CAP

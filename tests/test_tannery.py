@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import trigzeta as tz
-from trigzeta.errors import DomainError
+from trigzeta.errors import DomainError, UnsupportedRangeError
 
 from helpers import ulps_between
 
@@ -41,6 +41,12 @@ class TestTermBound:
         assert tz.term_bound(tz.TrigKind.CSC, 1, 0, 0, 1) == pytest.approx(
             PI / 2, rel=1e-15
         )
+
+    @pytest.mark.parametrize("kind", [tz.TrigKind.COT, tz.TrigKind.CSC])
+    @pytest.mark.parametrize("p,s", [(6, 400.0), (1, 1e300), (1, 1100.0)])
+    def test_overflow_refused(self, kind, p, s):
+        with pytest.raises(UnsupportedRangeError, match="overflows"):
+            tz.term_bound(kind, p, 0, 1, s)
 
     def test_nonpositive_s_rejected(self):
         with pytest.raises(DomainError):

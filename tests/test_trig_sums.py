@@ -1,13 +1,14 @@
 """Tests for the finite trigonometric power sums and their zeta limits."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigzeta as tz
-from trigzeta.errors import DomainError
+from trigzeta.errors import DomainError, UnsupportedRangeError
 
 from helpers import (
     brute_force_cot_square_sum,
@@ -213,6 +214,17 @@ class TestFiniteTrigSum:
                 first = tz.finite_trig_sum(CSC01, q, s)
                 for _ in range(3):
                     assert tz.finite_trig_sum(CSC01, q, s) == first
+
+    @pytest.mark.parametrize(
+        "cid,q,s", [("E15", 2, 1e300), ("E28", 10, 1e300), ("E28", 10, 1e300 + 1e300j)]
+    )
+    def test_overflow_refused_without_warnings(self, cid, q, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedRangeError, match="not finite"):
+                tz.finite_trig_sum(tz.classical_form(cid), q, s)
+        with pytest.raises(UnsupportedRangeError, match="overflows"):
+            tz.term(tz.classical_form(cid), 1, q, s)
 
     @pytest.mark.parametrize("s", [2.5, 2.5 + 1.3j])
     def test_memory_stays_small_at_large_q(self, s):
