@@ -35,6 +35,7 @@ from .oracle import (
     StieltjesTable,
     ZetaReference,
     bernoulli_numbers,
+    cross_routes,
     reference_zeta,
     sieve_primes,
     stieltjes,
@@ -105,6 +106,7 @@ __all__ = [
     "bernoulli_numbers",
     "c_bound",
     "classical_form",
+    "cross_routes",
     "empirical_order",
     "exp_instance",
     "exp_limit",

@@ -19,13 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .io_utils import write_text_atomic
+from .io_utils import float_text, json_text
 from .oracle import ZetaReference, reference_zeta
 from .trig_sums import TrigSumSpec, finite_trig_sum
 
@@ -152,10 +151,6 @@ def richardson_accelerate(series: ConvergenceSeries, order: float) -> complex:
     return (w * last.estimate - prev.estimate) / (w - 1.0)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _rel_error(record: SweepRecord, reference: ZetaReference) -> float:
     mag = abs(reference.value)
     return record.abs_error / mag if mag > 0.0 else math.inf
@@ -169,10 +164,10 @@ def to_csv(series: ConvergenceSeries) -> str:
             ",".join(
                 [
                     str(r.q),
-                    _fmt(r.estimate.real),
-                    _fmt(r.estimate.imag),
-                    _fmt(r.abs_error),
-                    _fmt(_rel_error(r, series.reference)),
+                    float_text(r.estimate.real),
+                    float_text(r.estimate.imag),
+                    float_text(r.abs_error),
+                    float_text(_rel_error(r, series.reference)),
                 ]
             )
         )
@@ -207,16 +202,11 @@ def to_json(series: ConvergenceSeries) -> str:
             }
             for r in series.records
         ],
-        "reference": {
-            "re_value": series.reference.value.real,
-            "im_value": series.reference.value.imag,
-            "method": series.reference.method,
-            "error_bound": series.reference.error_bound,
-        },
+        "reference": series.reference.to_dict(),
         "fitted_order": series.fitted_order,
         "fit_residual": series.fit_residual,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(payload)
 
 
 def from_json(text: str) -> ConvergenceSeries:
@@ -245,13 +235,3 @@ def from_json(text: str) -> ConvergenceSeries:
         fit_residual=None if residual is None else float(residual),
     )
 
-
-def write_series(series: ConvergenceSeries, path: str | Path, fmt: str) -> None:
-    """Atomically write the series in 'csv' or 'json' format."""
-    if fmt == "csv":
-        text = to_csv(series)
-    elif fmt == "json":
-        text = to_json(series)
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
-    write_text_atomic(Path(path), text)

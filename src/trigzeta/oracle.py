@@ -88,6 +88,15 @@ class ZetaReference:
     method: str
     error_bound: float
 
+    def to_dict(self) -> dict[str, float | str]:
+        """The fields every JSON output writes for a reference."""
+        return {
+            "re_value": self.value.real,
+            "im_value": self.value.imag,
+            "method": self.method,
+            "error_bound": self.error_bound,
+        }
+
 
 @dataclass(frozen=True, slots=True)
 class BernoulliTable:
@@ -613,6 +622,28 @@ def _em_borwein_pair(s: complex) -> tuple[ZetaReference, ZetaReference]:
     n = _borwein_order(s)
     em = zeta_em_bernoulli(s, 20 + math.ceil(abs(s.imag)), _EM_TERMS)
     return em, zeta_borwein(s, n)
+
+
+def cross_routes(s: complex) -> list[ZetaReference]:
+    """Every route that reaches s, for ``verify --suite cross``.
+
+    Re(s) > 1: the Dirichlet and eta sums to 10^6, Euler-Maclaurin at
+    reference_zeta's cutoff and the Euler product over the primes below
+    10^5.  0 < Re(s) <= 1: eta and Euler-Maclaurin to 10^6.  At every s
+    then the Euler-Maclaurin-Bernoulli and Borwein pair, at the
+    parameters reference_zeta uses in the critical strip.
+    """
+    s = complex(s)
+    if s.real > 1.0:
+        refs = [
+            zeta_dirichlet(s, 1_000_000),
+            zeta_eta(s, 1_000_000),
+            zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s)),
+            zeta_euler_product(s, sieve_primes(100_000)),
+        ]
+    else:
+        refs = [zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)]
+    return [*refs, *_em_borwein_pair(s)]
 
 
 def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:

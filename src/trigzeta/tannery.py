@@ -34,13 +34,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .accumulate import exact_sum, value_blocks
 from .errors import DomainError, UnsupportedRangeError
+from .io_utils import float_text
 from .trig_sums import TrigKind, TrigSumSpec, _term, upper_index
 
 # Dominance is exact in exact arithmetic; allow a hair of float slack.
@@ -69,6 +71,21 @@ class TanneryInstance:
     admissible: Callable[[int], bool]
 
 
+#: key=value text of a report field, by its annotated type
+_KV_VALUE: dict[str, Callable[[object], str]] = {
+    "bool": lambda v: str(v).lower(),
+    "float": float_text,
+}
+
+
+def _kv_lines(prefix: str, report: object) -> str:
+    """One prefix.field=value line per dataclass field, in field order."""
+    return "\n".join(
+        f"{prefix}.{f.name}={_KV_VALUE.get(f.type, str)(getattr(report, f.name))}"
+        for f in fields(report)
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class ConditionIReport:
     """Per-index-limit check: worst deviation over p <= p_max."""
@@ -83,27 +100,7 @@ class ConditionIReport:
     worst_deviation_at_first: float
 
     def to_kv(self) -> str:
-        return "\n".join(
-            [
-                f"condition_i.passed={str(self.passed).lower()}",
-                f"condition_i.p_max={self.p_max}",
-                f"condition_i.q_first={self.q_first}",
-                f"condition_i.q_last={self.q_last}",
-                f"condition_i.tol={self.tol:.17g}",
-                f"condition_i.worst_p={self.worst_p}",
-                f"condition_i.worst_deviation={self.worst_deviation:.17g}",
-                f"condition_i.worst_deviation_at_first={self.worst_deviation_at_first:.17g}",
-            ]
-        )
-
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"condition (i) {status}: worst |f(p, {self.q_last}) - f_limit(p)| "
-            f"= {self.worst_deviation:.3e} at p={self.worst_p} "
-            f"(tol {self.tol:.1e}, at q={self.q_first} it was "
-            f"{self.worst_deviation_at_first:.3e})"
-        )
+        return _kv_lines("condition_i", self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,30 +119,7 @@ class ConditionIIReport:
     tail_estimate: float
 
     def to_kv(self) -> str:
-        return "\n".join(
-            [
-                f"condition_ii.passed={str(self.passed).lower()}",
-                f"condition_ii.dominance_ok={str(self.dominance_ok).lower()}",
-                f"condition_ii.worst_ratio={self.worst_ratio:.17g}",
-                f"condition_ii.worst_p={self.worst_p}",
-                f"condition_ii.worst_q={self.worst_q}",
-                f"condition_ii.bound_series_partial={self.bound_series_partial:.17g}",
-                f"condition_ii.series_converges={str(self.series_converges).lower()}",
-                f"condition_ii.octave_ratio={self.octave_ratio:.17g}",
-                f"condition_ii.decay_exponent={self.decay_exponent:.17g}",
-                f"condition_ii.tail_estimate={self.tail_estimate:.17g}",
-            ]
-        )
-
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        series = "convergent" if self.series_converges else "NOT convergent"
-        return (
-            f"condition (ii) {status}: worst |f|/M = {self.worst_ratio:.12f} "
-            f"at (p={self.worst_p}, q={self.worst_q}); bound series partial sum "
-            f"{self.bound_series_partial:.6g}, octave ratio {self.octave_ratio:.4f} "
-            f"({series}, fitted decay exponent {self.decay_exponent:.3f})"
-        )
+        return _kv_lines("condition_ii", self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,15 +141,6 @@ class ConditionReport:
             lines.append(self.condition_i.to_kv())
         if self.condition_ii is not None:
             lines.append(self.condition_ii.to_kv())
-        return "\n".join(lines)
-
-    def to_text(self) -> str:
-        lines = [f"instance {self.instance}:"]
-        if self.condition_i is not None:
-            lines.append("  " + self.condition_i.to_text())
-        if self.condition_ii is not None:
-            lines.append("  " + self.condition_ii.to_text())
-        lines.append(f"  overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
@@ -205,8 +170,8 @@ def term_bound(kind: TrigKind, p: int, m: int, n: int, s: float) -> float:
     of converging and the derivation itself needs s > 0.
 
     Raises:
-        UnsupportedRangeError: when a power or the bound overflows
-            binary64.
+        UnsupportedRangeError: when the bound, or for csc its factor
+            (pi/2)^s, overflows binary64.
     """
     kind = TrigKind(kind)
     if p < 1:
@@ -215,7 +180,14 @@ def term_bound(kind: TrigKind, p: int, m: int, n: int, s: float) -> float:
         raise DomainError(f"dominating bound needs real s > 0, got {s}")
     c = c_bound(m, n)
     try:
-        bound = c**s / p**s
+        try:
+            bound = c**s / p**s
+        except OverflowError:
+            # p**s overflows, (C/p)^s need not.  The power would multiply
+            # the rounding of r = C/p by s, so r^s is scaled by (C/(p r))^s,
+            # taken from the exact rational C/(p r) - 1.
+            r = c / p
+            bound = r**s * math.exp(s * math.log1p(float(Fraction(c) / (p * Fraction(r)) - 1)))
         if kind is TrigKind.CSC:
             bound *= (math.pi / 2.0) ** s
     except OverflowError:

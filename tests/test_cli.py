@@ -178,7 +178,8 @@ class TestExecution:
             # sums and dominating bounds that overflow binary64
             ("eval", "--s", "1e300", "--rep", "E28", "--q", "10"),
             ("converge", "--s", "1e300", "--rep", "E28"),
-            ("verify", "--suite", "tannery", "--s", "400"),
+            # pi^700 overflows: the csc bound at p = 1
+            ("verify", "--suite", "tannery", "--s", "700"),
             ("verify", "--suite", "tannery", "--s", "1e300"),
         ],
     )
@@ -214,6 +215,13 @@ class TestExecution:
     def test_verify_tannery_default_green(self):
         result = run_cli("verify", "--suite", "tannery")
         assert result.returncode == 0
+
+    @pytest.mark.parametrize("s", ["20", "37", "300"])
+    def test_verify_tannery_large_s_green(self, s):
+        # the schedule runs to q >= 1000 s, past the p = 1 deviation s/(2q)
+        status, out, err = run_main(["verify", "--suite", "tannery", "--s", s])
+        assert (status, err) == (0, "")
+        assert out.endswith("suite tannery: all checks passed\n")
 
 
 class TestDeterminismAndFiles:
@@ -267,6 +275,22 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
     return status, out.getvalue(), err.getvalue()
+
+
+def test_reference_object_is_shared():
+    """eval, converge and oracle write one reference object, key for key."""
+    s = ["--s", "2.5+1.3i"]
+    outputs = [
+        run_main(["eval", *s, "--rep", "E28", "--q", "100", "--output", "json"]),
+        run_main(["converge", *s, "--rep", "E28", "--steps", "4", "--output", "json"]),
+        run_main(["oracle", *s, "--output", "json"]),
+    ]
+    assert [status for status, _, _ in outputs] == [0, 0, 0]
+    eval_json, converge_json, oracle_json = (json.loads(out) for _, out, _ in outputs)
+    want = list(tz.reference_zeta(2.5 + 1.3j).to_dict().items())
+    assert list(eval_json["reference"].items()) == want
+    assert list(converge_json["reference"].items()) == want
+    assert list(oracle_json.items())[-4:] == want
 
 
 def test_eval_csv_is_to_csv_of_one_record():

@@ -157,14 +157,6 @@ class TestSerialization:
         with pytest.raises(DomainError):
             convergence.from_csv("nope\n1,2,3,4,5\n")
 
-    def test_write_series_atomic(self, tmp_path):
-        series = tz.run_sweep(COT01, 2, tz.QSchedule(10, 2, 4))
-        path = tmp_path / "sweep.csv"
-        convergence.write_series(series, path, "csv")
-        assert path.read_text() == convergence.to_csv(series)
-        with pytest.raises(DomainError):
-            convergence.write_series(series, tmp_path / "x.bin", "parquet")
-
     def test_seventeen_digit_floats_round_trip(self):
         x = 1.6449340668482264
         assert float(format(x, ".17g")) == x

@@ -438,20 +438,17 @@ class TestReferenceZeta:
         assert _choose_em_cutoff(10) == 64
 
 
-OR_S_VALUES = [1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0]
+OR_S_VALUES = [1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0, 0.5, 0.5 + 18j]
 
 
 @pytest.mark.parametrize("s", OR_S_VALUES)
-def test_oracle_agreement(s, prime_cache_1e5):
-    """All four Re(s) > 1 routes pairwise within summed bounds."""
-    from trigzeta.oracle import _choose_em_cutoff
-
-    refs = [
-        tz.zeta_dirichlet(s, 10**6),
-        tz.zeta_eta(s, 10**6),
-        tz.zeta_euler_maclaurin(s, 64, _choose_em_cutoff(complex(s))),
-        tz.zeta_euler_product(s, prime_cache_1e5),
-    ]
+def test_oracle_agreement(s):
+    """Every route of cross_routes pairwise within summed bounds."""
+    refs = tz.cross_routes(s)
+    methods = ["eta", "euler_maclaurin", "em_bernoulli", "borwein"]
+    if s.real > 1.0:
+        methods = ["dirichlet", *methods[:2], "euler_product", *methods[2:]]
+    assert [r.method for r in refs] == methods
     for i, a in enumerate(refs):
         for b in refs[i + 1 :]:
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound, (

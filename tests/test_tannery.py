@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,10 +44,24 @@ class TestTermBound:
         )
 
     @pytest.mark.parametrize("kind", [tz.TrigKind.COT, tz.TrigKind.CSC])
-    @pytest.mark.parametrize("p,s", [(6, 400.0), (1, 1e300), (1, 1100.0)])
+    @pytest.mark.parametrize("p,s", [(1, 1024.0), (1, 1e300), (1, 1100.0)])
     def test_overflow_refused(self, kind, p, s):
         with pytest.raises(UnsupportedRangeError, match="overflows"):
             tz.term_bound(kind, p, 0, 1, s)
+
+    @pytest.mark.parametrize("kind", [tz.TrigKind.COT, tz.TrigKind.CSC])
+    def test_no_false_overflow_past_p_to_the_s(self, kind):
+        # 11**300 overflows binary64; (2/11)^300, and (pi/2 * 2/11)^300
+        # for csc, do not
+        half_pi = mp.mpf(PI) / 2 if kind is tz.TrigKind.CSC else 1
+        with mp.workdps(60):
+            exact = float((half_pi * 2 / mp.mpf(11)) ** 300)
+        assert exact > 0.0
+        assert ulps_between(tz.term_bound(kind, 11, 0, 1, 300.0), exact) <= 4
+        assert tz.term_bound(kind, 6, 0, 1, 400.0) > 0.0
+        # where p**s is finite the bits are those of C^s / p^s
+        factor = (PI / 2.0) ** 300.0 if kind is tz.TrigKind.CSC else 1.0
+        assert tz.term_bound(kind, 5, 0, 1, 300.0) == 2.0**300.0 / 5.0**300.0 * factor
 
     def test_nonpositive_s_rejected(self):
         with pytest.raises(DomainError):
@@ -246,18 +261,32 @@ class TestGammaLimit:
 
 
 class TestReports:
-    def test_kv_and_text_render(self):
-        inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
-        rep_i = tz.verify_condition_i(inst, 5, [10, 1000], 1e-3)
-        rep_ii = tz.verify_condition_ii(inst, 100, 1000)
-        combined = tz.ConditionReport(inst.name, rep_i, rep_ii)
-        kv = combined.to_kv()
-        assert "condition_i.passed=true" in kv
-        assert "condition_ii.passed=true" in kv
-        assert all("=" in line for line in kv.splitlines() if line)
-        text = combined.to_text()
-        assert "condition (i) PASS" in text
-        assert combined.passed
+    @pytest.mark.parametrize("s,passed", [(2.0, True), (1.0, False)])
+    def test_kv_lines_parse_back_to_fields(self, s, passed):
+        # a passing report and the s = 1 negative control
+        inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, s)
+        reports = {
+            "condition_i": tz.verify_condition_i(inst, 5, [10, 1000], 1e-3),
+            "condition_ii": tz.verify_condition_ii(inst, 100, 1000),
+        }
+        combined = tz.ConditionReport(inst.name, **reports)
+        assert combined.passed is passed
+        lines = combined.to_kv().splitlines()
+        assert lines[:2] == [f"instance={inst.name}", f"passed={str(passed).lower()}"]
+        parsed = [line.split("=", 1) for line in lines[2:]]
+        fields = [
+            (f"{prefix}.{f.name}", getattr(report, f.name))
+            for prefix, report in reports.items()
+            for f in dataclasses.fields(report)
+        ]
+        assert [key for key, _ in parsed] == [key for key, _ in fields]
+        for (key, text), (_, value) in zip(parsed, fields):
+            if isinstance(value, bool):
+                assert text == str(value).lower(), key
+            elif isinstance(value, int):
+                assert int(text) == value, key
+            else:
+                assert float(text) == value or (math.isnan(value) and text == "nan"), key
 
     def test_empty_report_not_passed(self):
         assert not tz.ConditionReport("nothing").passed

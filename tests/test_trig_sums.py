@@ -11,6 +11,7 @@ import trigzeta as tz
 from trigzeta.errors import DomainError, UnsupportedRangeError
 
 from helpers import (
+    FORMULA_SHAPES,
     brute_force_cot_square_sum,
     brute_force_cot_square_sum_even_den,
     direct_transcription,
@@ -261,11 +262,11 @@ class TestClassicalForm:
         assert (spec.kind, spec.m, spec.n) == (kind, m, n)
 
     def test_upper_limits_match_cited_formulas(self):
-        # n = 1 shapes sum to q; n = 0 shapes sum to q - 1
+        # the upper limits as transcribed from the cited formulas
         for q in (5, 50, 100):
             for cid in tz.CATALOG_IDS:
                 spec = tz.classical_form(cid)
-                expected = q if spec.n == 1 else q - 1
+                expected = q if FORMULA_SHAPES[cid][2] == "q" else q - 1
                 assert tz.upper_index(q, spec.n) == expected
 
     def test_unknown_id(self):
