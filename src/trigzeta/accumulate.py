@@ -37,9 +37,10 @@ An all-zero block sums to +0.0, as ``fsum`` gives.  A subnormal result
 needs no care: an exact sum below 2^-1022 is a multiple of 2^-1074, so
 a float itself, and the one rounding in step 4 leaves it unchanged.
 
-Blocks of _CHUNK = 4096 terms keep the working set a few hundred
-kilobytes whatever the length of the sum; larger blocks buy little
-speed and cost memory.
+Blocks of _CHUNK = 4096 terms keep the streaming working set a few
+hundred kilobytes whatever the length of the sum; larger blocks buy
+little speed and cost memory.  The finite sums add to that a read-only
+memo of their bases, at most 1 MiB (:mod:`trigzeta.trig_sums`).
 
 The terms themselves are mostly powers b^s of positive reals b (the
 finite sums' bases, the oracle's n^-s); :func:`positive_power` is the
@@ -62,10 +63,17 @@ _LIMB = 50
 _COLUMN = 1 << 13
 
 
+def _block_bounds(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Bounds (a, b) of the consecutive blocks a..b-1, at most _CHUNK
+    wide, that cover lo..hi-1."""
+    for a in range(lo, hi, _CHUNK):
+        yield a, min(a + _CHUNK, hi)
+
+
 def index_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The integers lo..hi-1 as float64 arrays of at most _CHUNK entries."""
-    for a in range(lo, hi, _CHUNK):
-        yield np.arange(a, min(a + _CHUNK, hi), dtype=np.float64)
+    for a, b in _block_bounds(lo, hi):
+        yield np.arange(a, b, dtype=np.float64)
 
 
 def value_blocks(values: Iterable[complex]) -> Iterator[np.ndarray]:

@@ -13,7 +13,9 @@ limit, so condition (i) is checked as "deviation at the largest
 schedule q below tolerance and no larger than at the smallest q" -- the
 strongest falsifiable check available.  Convergence of the bound series
 is judged from the decay of its partial sums (octave ratio), with the
-integral-style tail extrapolation reported for power-law bounds.
+integral-style tail extrapolation reported for power-law bounds; for
+c/p^s bounds that test resolves s > 1 only down to a margin set by the
+largest index checked (s >= 1.0025 at p = 1000).
 
 Indexing is 0-based; instances whose natural index starts at 1 (the
 zeta sums) simply make f(0, q) = 0 with a zero bound.
@@ -361,10 +363,15 @@ def verify_condition_ii(
 
     Series: partial sums of bound(p) up to p_max must decay -- the last
     two octaves' ratio must fall below 0.999.  For power-law bounds
-    c/p^s this detects exactly s > 1 at desk scale and the reported
-    tail estimate is the geometric/integral extrapolation; a flat
-    (harmonic) octave profile fails.  Failures are reported, not
-    raised.
+    c/p^s that ratio is about 2^(1-s) times a discretisation factor
+    a little above 1 (1.00072 at s = 1 and p_max = 1000), so the test
+    resolves s > 1 only down to a margin set by p_max: at p_max = 1000
+    it passes from s = 1.0025 (ratio 0.99899) and fails up to s = 1.0024
+    (0.99906; 0.99934 at s = 1.002, 1.0000286 at s = 1.001).  A fail
+    just above s = 1 says the bounds do not decay measurably by p_max,
+    not that their series diverges; the harmonic profile at s = 1
+    fails.  The reported tail estimate is the geometric/integral
+    extrapolation.  Failures are reported, not raised.
     """
     if p_max < 8:
         raise DomainError(f"p_max must be at least 8 to assess the bound series, got {p_max}")

@@ -24,13 +24,18 @@ same order, with numpy over blocks of p (the power through
 :func:`trigzeta.accumulate.positive_power`) and sums them exactly
 (:mod:`trigzeta.accumulate`).
 
-All functions here are pure; the module holds no mutable state and is
-safe to call from any number of threads.
+The bases do not depend on s, so each block of bases is computed once
+per (spec, q) and kept in a memo of at most _MEMO_BYTES = 1 MiB
+(``functools.lru_cache``, thread-safe, evicting the least recently
+used block); its arrays are read-only.  That memo is the module's only
+state: a result never depends on what it holds, and every function
+here is safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accumulate import exact_sum, index_blocks, positive_power
+from .accumulate import _CHUNK, _block_bounds, exact_sum, positive_power
 from .errors import DomainError, UnsupportedRangeError
 
 
@@ -154,22 +159,33 @@ def _term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
         ) from None
 
 
-def _block_terms(spec: TrigSumSpec, p: np.ndarray, q: int, s: complex) -> np.ndarray:
-    """``_term`` over an array of indices p, in the same operation order."""
+#: Bytes of bases the memo keeps: 32 blocks of _CHUNK float64 entries.
+_MEMO_BYTES = 1 << 20
+
+
+@functools.lru_cache(maxsize=_MEMO_BYTES // (8 * _CHUNK))
+def _block_bases(spec: TrigSumSpec, q: int, lo: int, hi: int) -> np.ndarray:
+    """The bases of ``_term`` for p = lo..hi-1, in its operation order,
+    as a read-only array."""
+    p = np.arange(lo, hi, dtype=np.float64)
     angle = (p * math.pi) / (2 * q + spec.n)
     sin = np.sin(angle)
     trig = np.cos(angle) / sin if spec.kind is TrigKind.COT else 1.0 / sin
     base = (math.pi / (2 * q + spec.m)) * trig
-    return positive_power(base, s)
+    base.flags.writeable = False
+    return base
 
 
 def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
     """Exact sum of term(spec, p, q, s) over p = 1..upper_index(q, n).
 
-    The terms are evaluated with numpy in blocks of p and summed with
-    :func:`trigzeta.accumulate.exact_sum`; memory stays a few hundred
-    kilobytes at any q.  For real s > 1 the result is a strictly
-    positive real (imaginary part exactly zero).
+    The terms are evaluated with numpy in blocks of p, their bases
+    taken from the module's memo, and summed with
+    :func:`trigzeta.accumulate.exact_sum`.  Memory stays at most the
+    1 MiB memo plus a working set of a few hundred kilobytes at any q;
+    a sum of at most 32 blocks (131,072 terms) re-evaluated at another
+    s recomputes only the powers and the sum.  For real s > 1 the
+    result is a strictly positive real (imaginary part exactly zero).
 
     Raises:
         UnsupportedRangeError: when the value or its rounding bound is
@@ -180,7 +196,8 @@ def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value, magnitude = exact_sum(
-                _block_terms(spec, p, q, s) for p in index_blocks(1, upper + 1)
+                positive_power(_block_bases(spec, q, lo, hi), s)
+                for lo, hi in _block_bounds(1, upper + 1)
             )
         except (OverflowError, ValueError):
             # math.fsum raises on inf - inf and on partial sums past the range

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from trigzeta.accumulate import (
     _CHUNK,
+    _block_bounds,
     block_sum,
     exact_sum,
     index_blocks,
     positive_power,
     value_blocks,
 )
-from trigzeta.trig_sums import _block_terms, classical_form, upper_index
+from trigzeta.trig_sums import _block_bases, classical_form, upper_index
 
 
 def test_index_blocks_cover_the_range_once():
@@ -96,8 +97,8 @@ _SHAPES = [classical_form(c) for c in ("E28", "E29", "E30", "E31", "E32")]
 def _kernel_blocks(s: complex):
     for spec in _SHAPES:
         for q in (7, 300, 4097, 10**5):
-            for p in index_blocks(1, upper_index(q, spec.n) + 1):
-                yield _block_terms(spec, p, q, s)
+            for lo, hi in _block_bounds(1, upper_index(q, spec.n) + 1):
+                yield positive_power(_block_bases(spec, q, lo, hi), s)
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 4.0, 30.0, 2.5 + 1.3j, 3 + 15j])

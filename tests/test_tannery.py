@@ -135,6 +135,19 @@ class TestConditionII:
         assert report.dominance_ok
         assert not report.series_converges
 
+    @pytest.mark.parametrize(
+        "kind,m,n",
+        [(tz.TrigKind.COT, 0, 1), (tz.TrigKind.COT, 1, 1), (tz.TrigKind.COT, 0, 0),
+         (tz.TrigKind.CSC, 0, 1), (tz.TrigKind.CSC, 0, 0)],
+    )
+    def test_resolution_at_desk_scale(self, kind, m, n):
+        # at p_max = 1000 the octave test resolves s = 1.003 from s = 1
+        def report(s):
+            return tz.verify_condition_ii(tz.zeta_trig_instance(kind, m, n, s), 1000, 1000)
+
+        assert report(1.003).passed
+        assert not report(1.0).passed
+
     def test_exp_instance_converges(self):
         report = tz.verify_condition_ii(tz.exp_instance(1.0), 50, 10**4)
         assert report.passed

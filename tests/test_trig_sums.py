@@ -1,6 +1,8 @@
 """Tests for the finite trigonometric power sums and their zeta limits."""
 
 import math
+import sys
+import threading
 import warnings
 
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigzeta as tz
+from trigzeta.accumulate import _CHUNK
 from trigzeta.errors import DomainError, UnsupportedRangeError
+from trigzeta.trig_sums import _MEMO_BYTES, _block_bases
 
 from helpers import (
     FORMULA_SHAPES,
@@ -238,6 +242,99 @@ class TestFiniteTrigSum:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+# the five distinct (kind, m, n) shapes of the catalog
+SHAPES = [tz.classical_form(c) for c in ("E28", "E29", "E30", "E31", "E32")]
+MEMO_S_ORDER = [2, 2.5, 2.5 + 1.3j, 4]
+
+
+def _bits(ev):
+    value = complex(ev.value)
+    return (value.real.hex(), value.imag.hex(), ev.rounding_bound.hex(), ev.term_count)
+
+
+def _cold_bits(spec, q, s):
+    _block_bases.cache_clear()
+    return _bits(tz.finite_trig_sum(spec, q, s))
+
+
+class TestBaseMemo:
+    @pytest.mark.parametrize(
+        "order", [MEMO_S_ORDER, MEMO_S_ORDER[::-1]], ids=["forward", "reverse"]
+    )
+    @pytest.mark.parametrize("q", [7, 4097, 10**5, 131073])
+    def test_warm_sums_have_cold_bits(self, q, order):
+        # the shapes share the memo; at q = 131073 the n = 1 shapes sum
+        # 33 blocks, so the memo evicts mid-sum
+        calls = [(spec, q, s) for spec in SHAPES for s in order]
+        _block_bases.cache_clear()
+        warm = [_bits(tz.finite_trig_sum(*call)) for call in calls]
+        assert warm == [_cold_bits(*call) for call in calls]
+
+    def test_repeat_at_another_s_computes_no_base(self):
+        # E30 at q = 131073 sums 131,072 terms: exactly the memo's 32 blocks
+        spec = tz.classical_form("E30")
+        _block_bases.cache_clear()
+        tz.finite_trig_sum(spec, 131073, 2.5)
+        tz.finite_trig_sum(spec, 131073, 2.5 + 1.3j)
+        info = _block_bases.cache_info()
+        assert (info.misses, info.hits) == (32, 32)
+
+    def test_memoised_bases_are_read_only(self):
+        bases = _block_bases(COT01, 100, 1, 101)
+        assert not bases.flags.writeable
+        with pytest.raises(ValueError):
+            bases[0] = 1.0
+
+    def test_threads_interleaving_give_serial_bits(self):
+        # four threads on two cores, switching often; their 25 + 15 + 4 + 3
+        # blocks exceed the memo's 32, so each evicts the others' bases
+        jobs = [
+            [(COT01, 10**5, s) for s in MEMO_S_ORDER],
+            [(CSC00, 60_001, s) for s in MEMO_S_ORDER[::-1]],
+            [(tz.classical_form("E29"), 16_000, s) for s in MEMO_S_ORDER],
+            [(CSC01, 12_000, s) for s in MEMO_S_ORDER[::-1]],
+        ]
+        serial = [[_cold_bits(*job) for job in thread_jobs] for thread_jobs in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+        got = [[] for _ in jobs]
+
+        def run(k):
+            start.wait()
+            for _ in range(2):
+                got[k].extend(_bits(tz.finite_trig_sum(*job)) for job in jobs[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [2 * bits for bits in serial]
+
+    def test_memo_holds_at_most_one_mebibyte(self):
+        import tracemalloc
+
+        _block_bases.cache_clear()
+        tracemalloc.start()
+        try:
+            for q in (10**5, 10**6):
+                tz.finite_trig_sum(COT01, q, 2.5)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        info = _block_bases.cache_info()
+        assert _MEMO_BYTES == 1 << 20
+        assert info.currsize == info.maxsize == _MEMO_BYTES // (8 * _CHUNK) == 32
+        # 31 full blocks and the last, shorter one of the q = 10^6 sum,
+        # plus the arrays' objects and the cache's keys
+        assert _MEMO_BYTES - 8 * _CHUNK < kept < _MEMO_BYTES + 32 * 1024
 
 
 class TestClassicalForm:
