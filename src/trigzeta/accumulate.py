@@ -4,12 +4,12 @@ arrays.
 Every large sum in the package (the finite trigonometric sums, both
 sides of the Tannery identity, the oracle's series, integral and
 log-product) hands its terms to :func:`exact_sum` as numpy arrays,
-built block by block with :func:`index_blocks` or :func:`value_blocks`.
-Each block is summed exactly rounded (:func:`block_sum`, the bits of
-``math.fsum``) and the block totals are summed exactly rounded once
-more by ``math.fsum``, so a sum that fits one block is exactly rounded
-and a longer one carries at most one extra rounding per block, below
-eps/2 times that block's sum of magnitudes.
+built block by block over :func:`index_blocks`.  Each block is summed
+exactly rounded (:func:`block_sum`, the bits of ``math.fsum``) and the
+block totals are summed exactly rounded once more by ``math.fsum``, so
+a sum that fits one block is exactly rounded and a longer one carries
+at most one extra rounding per block, below eps/2 times that block's
+sum of magnitudes.
 
 A block is summed without leaving numpy, by an error-free split into
 integers in the spirit of Ogita, Rump and Oishi, "Accurate Sum and Dot
@@ -49,7 +49,6 @@ one place that evaluates them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Iterator
 
@@ -74,13 +73,6 @@ def index_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The integers lo..hi-1 as float64 arrays of at most _CHUNK entries."""
     for a, b in _block_bounds(lo, hi):
         yield np.arange(a, b, dtype=np.float64)
-
-
-def value_blocks(values: Iterable[complex]) -> Iterator[np.ndarray]:
-    """Scalar values grouped into complex arrays of at most _CHUNK entries."""
-    it = iter(values)
-    while block := list(itertools.islice(it, _CHUNK)):
-        yield np.array(block, dtype=np.complex128)
 
 
 def positive_power(base: np.ndarray, s: complex) -> np.ndarray:

@@ -18,11 +18,11 @@ Every base (pi/(2q+m))*cot(...) or (pi/(2q+m))*csc(...) is a strictly
 positive real, so complex powers are defined branch-free as
 exp(s * ln base) with the real natural logarithm, that is
 exp(sigma ln b) (cos(t ln b) + i sin(t ln b)); real powers use pow,
-identical in exact arithmetic.  ``term`` evaluates one summand with the
-math module; ``finite_trig_sum`` evaluates the same operations, in the
-same order, with numpy over blocks of p (the power through
+identical in exact arithmetic.  ``finite_trig_sum`` evaluates the terms
+with numpy over blocks of p (the power through
 :func:`trigzeta.accumulate.positive_power`) and sums them exactly
-(:mod:`trigzeta.accumulate`).
+(:mod:`trigzeta.accumulate`); ``term`` is the same kernel on a
+one-index block, and the Tannery harness runs it on the sum's blocks.
 
 The bases do not depend on s, so each block of bases is computed once
 per (spec, q) and kept in a memo of at most _MEMO_BYTES = 1 MiB
@@ -137,26 +137,21 @@ def term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
     upper = upper_index(q, spec.n)
     if not 1 <= p <= upper:
         raise DomainError(f"index p={p} outside 1..{upper} for (q={q}, n={spec.n})")
-    return _term(spec, p, q, complex(s))
+    s = complex(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(positive_power(_bases(spec, q, np.array([float(p)])), s)[0])
+    if not cmath.isfinite(value):
+        raise UnsupportedRangeError(f"term p={p} at q={q}, s={s} overflows binary64")
+    return value
 
 
-def _term(spec: TrigSumSpec, p: int, q: int, s: complex) -> complex:
-    """``term`` without the admissibility and index checks."""
+def _bases(spec: TrigSumSpec, q: int, p: np.ndarray) -> np.ndarray:
+    """The bases (pi/(2q+m)) * cot_or_csc(p*pi/(2q+n)) at float64 p."""
     angle = (p * math.pi) / (2 * q + spec.n)
-    # cot as cos/sin (not 1/tan): one rounding fewer per term.
-    if spec.kind is TrigKind.COT:
-        trig = math.cos(angle) / math.sin(angle)
-    else:
-        trig = 1.0 / math.sin(angle)
-    base = (math.pi / (2 * q + spec.m)) * trig
-    try:
-        if s.imag == 0.0:
-            return complex(math.pow(base, s.real), 0.0)
-        return cmath.exp(s * math.log(base))
-    except OverflowError:
-        raise UnsupportedRangeError(
-            f"term p={p} at q={q}, s={s} overflows binary64"
-        ) from None
+    sin = np.sin(angle)
+    # cot as cos/sin (not 1/tan): one rounding fewer per base.
+    trig = np.cos(angle) / sin if spec.kind is TrigKind.COT else 1.0 / sin
+    return (math.pi / (2 * q + spec.m)) * trig
 
 
 #: Bytes of bases the memo keeps: 32 blocks of _CHUNK float64 entries.
@@ -165,15 +160,20 @@ _MEMO_BYTES = 1 << 20
 
 @functools.lru_cache(maxsize=_MEMO_BYTES // (8 * _CHUNK))
 def _block_bases(spec: TrigSumSpec, q: int, lo: int, hi: int) -> np.ndarray:
-    """The bases of ``_term`` for p = lo..hi-1, in its operation order,
-    as a read-only array."""
-    p = np.arange(lo, hi, dtype=np.float64)
-    angle = (p * math.pi) / (2 * q + spec.n)
-    sin = np.sin(angle)
-    trig = np.cos(angle) / sin if spec.kind is TrigKind.COT else 1.0 / sin
-    base = (math.pi / (2 * q + spec.m)) * trig
+    """The bases for p = lo..hi-1 as a read-only array."""
+    base = _bases(spec, q, np.arange(lo, hi, dtype=np.float64))
     base.flags.writeable = False
     return base
+
+
+def _bases_at(spec: TrigSumSpec, q: int, p: np.ndarray) -> np.ndarray:
+    """The bases at the float64 indices p: the memo's block when p is one
+    of ``finite_trig_sum``'s, else afresh, so few indices evict no block."""
+    lo = int(p[0]) if p.size else 0
+    hi = min(lo + _CHUNK, upper_index(q, spec.n) + 1)
+    if lo % _CHUNK == 1 and np.array_equal(p, np.arange(lo, hi, dtype=np.float64)):
+        return _block_bases(spec, q, lo, hi)
+    return _bases(spec, q, p)
 
 
 def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:

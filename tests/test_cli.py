@@ -194,6 +194,16 @@ class TestExecution:
         result = run_python("-c", "import sys, trigzeta; print('mpmath' in sys.modules)")
         assert result.stdout == "False\n"
 
+    def test_strip_oracle_leaves_mpmath_out(self):
+        # Borwein's truncation bound takes ln|Gamma(s)| from Stirling's series
+        code = (
+            "import sys; from trigzeta import cli; "
+            "status = cli.main(['oracle', '--s', '0.5+18i']); "
+            "print(status, 'mpmath' in sys.modules)"
+        )
+        result = run_python("-c", code)
+        assert result.stdout.splitlines()[-1] == "0 False"
+
     def test_oversized_schedule_refused_quickly(self):
         t0 = time.perf_counter()
         result = run_cli("converge", "--s", "2", "--rep", "E28", "--steps", "80")

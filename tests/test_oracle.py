@@ -12,6 +12,7 @@ import trigzeta as tz
 from trigzeta.errors import DomainError, UnsupportedRangeError
 from trigzeta.oracle import (
     _X_CAP,
+    _borwein_log_scale,
     _borwein_weights,
     _choose_em_cutoff,
     _em_borwein_pair,
@@ -353,6 +354,18 @@ class TestBorwein:
             exact = 1 - mpmath.mpf(2) ** (1 - mpmath.mpc(s))
             rel = float(abs(mpmath.mpc(_eta_denominator(complex(s))) - exact) / abs(exact))
         assert rel <= 4 * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("sigma", [0.001, 0.1, 0.5, 0.9, 1.5, 3.0, 10.0, 19.5, 20.0, 55.0])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -1.0, 18.0, 100.0, -1000.0, 4500.0])
+    def test_log_scale_agrees_with_mpmath_from_above(self, sigma, t):
+        # Stirling's ln|Gamma(s)| is within 1e-12 (1 + |s|) of mpmath's
+        # loggamma, and widening by that much keeps the scale above it
+        s = complex(sigma, t)
+        with mpmath.workdps(40):
+            z = mpmath.mpc(sigma, t)
+            eta = abs(1 - mpmath.mpf(2) ** (1 - z))
+            exact = float(mpmath.loggamma(sigma) - mpmath.loggamma(z).real - mpmath.log(eta))
+        assert 0.0 < _borwein_log_scale(s) - exact <= 2e-12 * (1.0 + abs(s))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

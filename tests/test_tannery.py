@@ -2,18 +2,66 @@
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import trigzeta as tz
+from trigzeta.accumulate import index_blocks
 from trigzeta.errors import DomainError, UnsupportedRangeError
+from trigzeta.trig_sums import _block_bases
 
 from helpers import ulps_between
 
 PI = math.pi
+
+SHAPES = (
+    (tz.TrigKind.COT, 0, 1),
+    (tz.TrigKind.COT, 1, 1),
+    (tz.TrigKind.COT, 0, 0),
+    (tz.TrigKind.CSC, 0, 1),
+    (tz.TrigKind.CSC, 0, 0),
+)
+
+
+def scalar_term_bound(kind, p, m, n, s):
+    """The dominating bound one index at a time, as math-module floats:
+    the reference for the array bound's bits."""
+    c = tz.c_bound(m, n)
+    try:
+        try:
+            bound = c**s / p**s
+        except OverflowError:
+            r = c / p
+            bound = r**s * math.exp(s * math.log1p(float(Fraction(c) / (p * Fraction(r)) - 1)))
+        if kind is tz.TrigKind.CSC:
+            bound *= (PI / 2.0) ** s
+    except OverflowError:
+        bound = math.inf
+    return bound
+
+
+def binomial_term(k, n, x):
+    """C(n,k) (x/n)^k by the scalar product of per-factor ratios: the
+    reference for exp_instance's bits."""
+    if k == 0:
+        return 1.0
+    t = 1.0
+    for j in range(1, k + 1):
+        t *= (n - j + 1) / n * x / j
+        if t == 0.0:
+            return 0.0
+    return t
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
 class TestCBound:
@@ -63,6 +111,29 @@ class TestTermBound:
         factor = (PI / 2.0) ** 300.0 if kind is tz.TrigKind.CSC else 1.0
         assert tz.term_bound(kind, 5, 0, 1, 300.0) == 2.0**300.0 / 5.0**300.0 * factor
 
+    @pytest.mark.parametrize("kind", [tz.TrigKind.COT, tz.TrigKind.CSC])
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (1, 1), (0, 3)])
+    @pytest.mark.parametrize("s", [1.003, 1.5, 2.0, 2.7, 37.0, 300.0, 400.0, 620.0])
+    def test_array_bits_equal_scalar_bits(self, kind, m, n, s):
+        # p = 6 and 11 at s = 300 and 400 take the fallback past p^s overflow
+        p = np.concatenate([np.arange(2.0, 40.0), [100.0, 999.0, 1000.0, 12345.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = tz.term_bound(kind, p, m, n, s)
+        expected = [scalar_term_bound(kind, int(k), m, n, s) for k in p]
+        assert np.array_equal(bits(bounds), bits(expected))
+        for k in (6, 11):
+            assert tz.term_bound(kind, k, m, n, s) == scalar_term_bound(kind, k, m, n, s)
+
+    @pytest.mark.parametrize("kind", [tz.TrigKind.COT, tz.TrigKind.CSC])
+    def test_array_overflow_refused_without_warnings(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedRangeError, match="p=1,"):
+                tz.term_bound(kind, np.array([1.0, 2.0, 3.0]), 0, 1, 1024.0)
+            with pytest.raises(UnsupportedRangeError):
+                tz.term_bound(kind, 1, 0, 1, 1024.0)
+
     def test_nonpositive_s_rejected(self):
         with pytest.raises(DomainError):
             tz.term_bound(tz.TrigKind.COT, 1, 0, 0, 0.0)
@@ -93,18 +164,18 @@ class TestConditionI:
         assert report.passed
         assert report.worst_deviation < 1e-3
         # the claimed limit really is p^-s
-        assert inst.f_limit(3) == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert inst.f_limit(np.array([3.0]))[0] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
     def test_exp_instance_passes(self):
         inst = tz.exp_instance(1.0)
         report = tz.verify_condition_i(inst, 5, [10, 1000, 10**6], 1e-4)
         assert report.passed
-        assert inst.f_limit(4) == pytest.approx(1.0 / 24.0, rel=1e-15)
+        assert inst.f_limit(np.array([4.0]))[0] == pytest.approx(1.0 / 24.0, rel=1e-15)
 
     def test_wrong_limit_is_caught(self):
         good = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
         bad = dataclasses.replace(
-            good, f_limit=lambda p: 0.0 if p == 0 else 1.0 / p
+            good, f_limit=lambda p: np.where(p > 0, 1.0 / np.maximum(p, 1.0), 0.0)
         )
         report = tz.verify_condition_i(bad, 5, [10, 100, 1000, 10**5], 1e-3)
         assert not report.passed
@@ -147,6 +218,15 @@ class TestConditionII:
 
         assert report(1.003).passed
         assert not report(1.0).passed
+
+    def test_nonzero_term_over_zero_bound_has_ratio_inf(self):
+        # the first (p, q) in grid order is reported: p = 7 first enters
+        # at q = 8 (alpha(q) = q for n = 1)
+        good = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
+        bad = dataclasses.replace(good, bound=lambda p: np.where(p % 7 == 0, 0.0, good.bound(p)))
+        report = tz.verify_condition_ii(bad, 100, 1000)
+        assert not report.dominance_ok and not report.passed
+        assert (report.worst_ratio, report.worst_p, report.worst_q) == (math.inf, 7, 8)
 
     def test_exp_instance_converges(self):
         report = tz.verify_condition_ii(tz.exp_instance(1.0), 50, 10**4)
@@ -202,6 +282,30 @@ class TestExchange:
             tz.tannery_exchange(inst, [1, 2, 4], 100)  # q=1 inadmissible for n=0
 
     @pytest.mark.parametrize("s", [1.5, 2.7, 3.3])
+    @pytest.mark.parametrize("q", [10, 4097, 10240])
+    @pytest.mark.parametrize("kind,m,n", SHAPES)
+    def test_lhs_is_finite_trig_sum(self, kind, m, n, s, q):
+        # the harness sums finite_trig_sum's blocks of the same kernel
+        lhs = tz.tannery_exchange(tz.zeta_trig_instance(kind, m, n, s), [q], 0).lhs
+        total = tz.finite_trig_sum(tz.TrigSumSpec(kind, m, n), q, s).value
+        assert (lhs.real.hex(), lhs.imag.hex()) == (total.real.hex(), total.imag.hex())
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: tz.exp_instance(1.0), lambda: tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)],
+    )
+    def test_memory_stays_small_at_q_a_million(self, make):
+        inst = make()
+        _block_bases.cache_clear()
+        tracemalloc.start()
+        try:
+            tz.tannery_exchange(inst, [10, 10**6], 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("s", [1.5, 2.7, 3.3])
     def test_lhs_matches_finite_trig_sum(self, s):
         # the scalar summands and the vectorised kernel agree to 4 ulps
         q = 10240
@@ -211,6 +315,31 @@ class TestExchange:
             lhs = tz.tannery_exchange(tz.zeta_trig_instance(kind, m, n, s), [q], 0).lhs
             total = tz.finite_trig_sum(tz.TrigSumSpec(kind, m, n), q, s).value
             assert ulps_between(lhs, total) <= 4.0, (kind, m, n)
+
+
+class TestExpInstance:
+    @pytest.mark.parametrize("x", [0.0, 1.0, -2.5, 30.0])
+    @pytest.mark.parametrize("n", [10, 64, 10**6])
+    def test_f_is_the_scalar_product(self, x, n):
+        # f over the runs the harness passes, k = 0..n, against the scalar
+        # loop; that loop returns +0.0 from its first zero on
+        inst = tz.exp_instance(x)
+        runs = [np.zeros(1), *index_blocks(1, n + 1)]
+        values = np.concatenate([inst.f(k, n) for k in runs])
+        expected = []
+        for k in range(n + 1):
+            expected.append(binomial_term(k, n, x))
+            if expected[-1] == 0.0:
+                break
+        zero = len(expected) if expected[-1] != 0.0 else len(expected) - 1
+        assert np.array_equal(bits(values[:zero]), bits(expected[:zero]))
+        assert np.array_equal(bits(values[zero:]), bits(np.zeros(n + 1 - zero)))
+
+    def test_f_at_scattered_indices(self):
+        inst = tz.exp_instance(-2.5)
+        k = np.array([7.0, 0.0, 5000.0, 3.0, 101.0, 3.0])
+        expected = [binomial_term(int(j), 200, -2.5) for j in k]
+        assert np.array_equal(bits(inst.f(k, 200)), bits(expected))
 
 
 class TestExpLimit:
