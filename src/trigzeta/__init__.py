@@ -5,7 +5,7 @@ The package has four layers:
 * :mod:`trigzeta.trig_sums` -- the finite trigonometric power sums
   whose q -> infinity limit is zeta(s) for Re(s) > 1, plus the catalog
   of classical special cases.
-* :mod:`trigzeta.oracle` -- eight independent classical reference
+* :mod:`trigzeta.oracle` -- seven independent classical reference
   computations of zeta used for cross-validation.
 * :mod:`trigzeta.tannery` -- a checkable harness for the
   limit-interchange theorem that justifies the representations.
@@ -32,13 +32,11 @@ from .errors import (
 from .oracle import (
     BernoulliTable,
     PrimeCache,
-    StieltjesTable,
     ZetaReference,
     bernoulli_numbers,
     cross_routes,
     reference_zeta,
     sieve_primes,
-    stieltjes,
     zeta_borwein,
     zeta_dirichlet,
     zeta_em_bernoulli,
@@ -46,7 +44,6 @@ from .oracle import (
     zeta_euler_maclaurin,
     zeta_euler_product,
     zeta_even,
-    zeta_laurent,
 )
 from .tannery import (
     ConditionIIReport,
@@ -94,7 +91,6 @@ __all__ = [
     "OrderFit",
     "PrimeCache",
     "QSchedule",
-    "StieltjesTable",
     "SumEvaluation",
     "SweepRecord",
     "TanneryInstance",
@@ -116,7 +112,6 @@ __all__ = [
     "richardson_accelerate",
     "run_sweep",
     "sieve_primes",
-    "stieltjes",
     "tannery_exchange",
     "term",
     "term_bound",
@@ -130,7 +125,6 @@ __all__ = [
     "zeta_euler_maclaurin",
     "zeta_euler_product",
     "zeta_even",
-    "zeta_laurent",
     "zeta_limit_estimate",
     "zeta_trig_instance",
 ]

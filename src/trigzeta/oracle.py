@@ -1,6 +1,6 @@
 """Independent reference computations of the Riemann zeta function.
 
-Eight classical routes are implemented and cross-validated against
+Seven classical routes are implemented and cross-validated against
 each other, so the limit representations in :mod:`trigzeta.trig_sums`
 can be checked against references that share nothing with them but
 the power and summation primitives of :mod:`trigzeta.accumulate`:
@@ -18,8 +18,6 @@ the power and summation primitives of :mod:`trigzeta.accumulate`:
   accumulated in the log domain                                 (Re s > 1)
 * ``zeta_even``            -- exact Bernoulli-number closed form for
   even integer arguments
-* ``zeta_laurent``         -- truncated Laurent expansion about s = 1
-  with numerically estimated Stieltjes constants
 
 ``reference_zeta`` reports one route and cross-checks it against a
 second.  For Re(s) > 1 both are floor-function Euler-Maclaurin routes
@@ -46,13 +44,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .accumulate import exact_sum, index_blocks, positive_power
+from .accumulate import exact_sum, index_blocks, positive_power, power_sum
 from .errors import CrossCheckError, DomainError, UnsupportedRangeError
-from .io_utils import write_text_atomic
 
 _EPS = sys.float_info.epsilon
 
@@ -122,45 +118,6 @@ class PrimeCache:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def save(self, path: str | Path) -> None:
-        """Persist as newline-delimited decimal text (atomic replace)."""
-        write_text_atomic(Path(path), "".join(f"{p}\n" for p in self.primes))
-
-    @classmethod
-    def load(cls, path: str | Path, limit: int | None = None) -> "PrimeCache":
-        """Load a newline-delimited prime file.
-
-        Validates strictly ascending order and, when ``limit`` is given,
-        that no entry exceeds it.  Primality itself is not re-proved
-        here; tests cover that by trial division.
-        """
-        entries = [int(line) for line in Path(path).read_text().split()]
-        if not entries:
-            raise DomainError(f"prime file {path} is empty")
-        if any(b <= a for a, b in zip(entries, entries[1:])):
-            raise DomainError(f"prime file {path} is not strictly ascending")
-        if entries[0] < 2:
-            raise DomainError(f"prime file {path} contains {entries[0]} < 2")
-        stated = entries[-1] if limit is None else limit
-        if entries[-1] > stated:
-            raise DomainError(
-                f"prime file {path} has entries above the stated limit {stated}"
-            )
-        return cls(primes=tuple(entries), limit=stated)
-
-
-@dataclass(frozen=True, slots=True)
-class StieltjesTable:
-    """Laurent-expansion constants gamma_0..gamma_nmax with error data.
-
-    ``m_max`` is the truncation index of the defining limit;
-    ``est_error`` is the per-entry heuristic bound |accelerated - raw|.
-    """
-
-    gammas: tuple[float, ...]
-    m_max: int
-    est_error: tuple[float, ...]
-
 
 @lru_cache(maxsize=8)
 def sieve_primes(limit: int) -> PrimeCache:
@@ -178,7 +135,7 @@ def sieve_primes(limit: int) -> PrimeCache:
 @lru_cache(maxsize=64)
 def _dirichlet_sum(s: complex, N: int) -> tuple[complex, float]:
     """(sum_{n<=N} n^-s, sum of magnitudes), summed exactly."""
-    return exact_sum(positive_power(k, -s) for k in index_blocks(1, N + 1))
+    return power_sum(index_blocks(1, N + 1), -s)
 
 
 def zeta_dirichlet(s: complex, N: int) -> ZetaReference:
@@ -223,9 +180,12 @@ def zeta_eta(s: complex, N: int) -> ZetaReference:
     """Alternating series route, valid for Re(s) > 0 away from the
     prefactor pole set 2^(1-s) = 1.
 
-    The bound |1-2^(1-s)|^-1 * (N+1)^(-Re s) is the alternating-series
-    remainder bound; it is rigorous for real s and heuristic for
-    complex s.
+    The truncation bound is rigorous.  For real s it is the
+    alternating-series remainder bound |1-2^(1-s)|^-1 (N+1)^(-Re s).
+    For complex s the terms need not alternate in sign or shrink, so the
+    tail is taken in pairs, n^-s - (n+1)^-s = s * integral_n^(n+1)
+    x^(-s-1) dx, with at most one term unpaired:
+    |1-2^(1-s)|^-1 (1 + |s|/Re s) (N+1)^(-Re s).
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -241,7 +201,9 @@ def zeta_eta(s: complex, N: int) -> ZetaReference:
     alt, mag = exact_sum(alternating(k) for k in index_blocks(1, N + 1))
     value = pref * alt
     sigma = s.real
-    bound = abs(pref) * (N + 1) ** (-sigma) + _rounding_floor(abs(pref) * mag)
+    pairing = 1.0 if s.imag == 0.0 else 1.0 + abs(s) / sigma
+    truncation = abs(pref) * pairing * (N + 1) ** (-sigma)
+    bound = truncation + _rounding_floor(abs(pref) * mag)
     value_out = value.real if s.imag == 0.0 else value
     return ZetaReference(complex(value_out), "eta", bound)
 
@@ -497,107 +459,6 @@ def zeta_borwein(s: complex, n: int) -> ZetaReference:
     floor = (4.0 * abs(s) * (1.0 + math.log(n)) + 4.0) * _EPS * mag / abs(w)
     value_out = value.real if s.imag == 0.0 else value
     return ZetaReference(complex(value_out), "borwein", truncation + floor)
-
-
-_STIELTJES_MAX_N = 8
-
-
-@lru_cache(maxsize=16)
-def stieltjes(nmax: int, M: int) -> StieltjesTable:
-    """Constants gamma_n of the Laurent expansion about s = 1, from the
-    defining limit
-
-        gamma_n = lim_{m->inf} ( sum_{k<=m} (ln k)^n / k - (ln m)^(n+1)/(n+1) )
-
-    truncated at M, with one two-point elimination step over (M, 2M).
-    The truncation error behaves like (ln M)^n / (2M) (half the last
-    summand, by the Euler-Maclaurin endpoint correction), so the step
-    uses that known shape; for n = 0 it reduces to the plain doubling
-    step 2*g(2M) - g(M).  ``est_error`` is the heuristic
-    |accelerated - raw| per entry; it is deliberately conservative and
-    grows rapidly with n (desk-scale evaluation cannot do better, which
-    is why nmax is capped at 8).  Where the two model weights nearly
-    coincide (large n at small M) the elimination is skipped and
-    est_error reports the modeled truncation itself.
-
-    The n = 0 entry is the limit of H_m - ln m.
-    """
-    if nmax < 0:
-        raise DomainError(f"nmax must be nonnegative, got {nmax}")
-    if nmax > _STIELTJES_MAX_N:
-        raise UnsupportedRangeError(
-            f"nmax={nmax} exceeds supported maximum {_STIELTJES_MAX_N} "
-            "(convergence of the defining limit is too slow beyond that)"
-        )
-    if M < 1000:
-        raise DomainError(f"M must be at least 10^3, got {M}")
-
-    sums_m = [[] for _ in range(nmax + 1)]
-    sums_2m = [[] for _ in range(nmax + 1)]
-    for k in index_blocks(1, 2 * M + 1):
-        cut = max(0, M + 1 - int(k[0]))  # entries k <= M
-        power = 1.0 / k
-        lk = np.log(k)
-        for n in range(nmax + 1):
-            sums_m[n].append(float(np.sum(power[:cut])))
-            sums_2m[n].append(float(np.sum(power[cut:])))
-            power = power * lk
-
-    gammas: list[float] = []
-    errors: list[float] = []
-    ln_m = math.log(M)
-    ln_2m = math.log(2 * M)
-    for n in range(nmax + 1):
-        s_m = math.fsum(sums_m[n])
-        s_2m = s_m + math.fsum(sums_2m[n])
-        raw_m = s_m - ln_m ** (n + 1) / (n + 1)
-        raw_2m = s_2m - ln_2m ** (n + 1) / (n + 1)
-        g_m = ln_m**n / M
-        g_2m = ln_2m**n / (2 * M)
-        if abs(g_m - g_2m) < 0.2 * g_m:
-            # the two model weights nearly coincide (large n, small M):
-            # elimination would divide by a near-zero weight gap, and
-            # |accel - raw| would understate a truncation that is flat
-            # in M.  Fall back to the better raw value and report the
-            # modeled uncancelled truncation g(2M)/2 itself.
-            accel = raw_2m
-            err = g_2m / 2.0 + abs(raw_2m - raw_m)
-        else:
-            accel = (g_m * raw_2m - g_2m * raw_m) / (g_m - g_2m)
-            err = abs(accel - raw_m)
-        gammas.append(accel)
-        errors.append(err)
-    return StieltjesTable(gammas=tuple(gammas), m_max=M, est_error=tuple(errors))
-
-
-def zeta_laurent(s: complex, table: StieltjesTable) -> ZetaReference:
-    """Truncated Laurent expansion about the pole,
-
-        1/(s-1) + sum_{n=0}^{K} (-1)^n gamma_n (s-1)^n / n!.
-
-    Best inside |s-1| < 1.  The bound (magnitude of the last included
-    term plus propagated table errors) is heuristic.
-    """
-    s = complex(s)
-    if s == 1:
-        raise DomainError("zeta has its pole at s = 1")
-    w = s - 1.0
-    total = 1.0 / w
-    last_mag = 0.0
-    propagated = 0.0
-    wn = complex(1.0)  # w^n
-    fact = 1.0
-    for n, g in enumerate(table.gammas):
-        if n > 0:
-            wn *= w
-            fact *= n
-        term = ((-1) ** n) * g * wn / fact
-        total += term
-        last_mag = abs(term)
-        propagated += table.est_error[n] * abs(wn) / fact
-    bound = last_mag + propagated + _rounding_floor(abs(total))
-    value_out = total.real if s.imag == 0.0 else total
-    return ZetaReference(complex(value_out), "laurent", bound)
 
 
 def _choose_em_cutoff(s: complex) -> int:

@@ -327,13 +327,13 @@ def verify_condition_i(
     limit = inst.f_limit(p)
     dev_last = np.abs(inst.f(p, q_last) - limit)
     dev_first = np.abs(inst.f(p, q_first) - limit)
-    passed = not np.any((dev_last >= tol) | (dev_last > dev_first))
-    # the last p at the largest deviation; a nan deviation is never it
-    seen = dev_last >= 0.0
-    worst_dev = float(dev_last.max(where=seen, initial=0.0))
-    at_worst = np.flatnonzero(seen & (dev_last == worst_dev))
-    worst_p = int(at_worst[-1]) if at_worst.size else 0
-    worst_dev_first = float(dev_first[worst_p]) if at_worst.size else 0.0
+    # written so that a nan deviation, at either q, fails
+    passed = bool(np.all((dev_last < tol) & (dev_last <= dev_first)))
+    # the last p at the largest deviation, a nan above every number
+    rank = np.where(np.isnan(dev_last), math.inf, dev_last)
+    worst_p = int(np.flatnonzero(rank == rank.max())[-1])
+    worst_dev = float(dev_last[worst_p])
+    worst_dev_first = float(dev_first[worst_p])
     return ConditionIReport(
         passed=passed,
         p_max=p_max,
@@ -398,11 +398,12 @@ def verify_condition_ii(
         mag = np.abs(inst.f(p[: top + 1], q))
         m_p = bounds[: top + 1]
         # the first (p, q) at the largest ratio: a nonzero term over a zero
-        # bound has ratio inf, and a nan ratio never counts
+        # bound has ratio inf, and a nan ratio (argmax's first pick) is
+        # above every number
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = np.where(m_p == 0.0, np.where(mag > 0.0, math.inf, 0.0), mag / m_p)
-        at = int(np.argmax(np.fmax(ratio, 0.0)))
-        if ratio[at] > worst_ratio:
+            ratio = np.where(m_p == 0.0, np.where(mag > 0.0, math.inf, mag), mag / m_p)
+        at = int(np.argmax(ratio))
+        if ratio[at] > worst_ratio or (math.isnan(ratio[at]) and not math.isnan(worst_ratio)):
             worst_ratio, worst_p, worst_q = float(ratio[at]), at, q
     dominance_ok = worst_ratio <= 1.0 + _RATIO_SLACK
 

@@ -18,11 +18,12 @@ Every base (pi/(2q+m))*cot(...) or (pi/(2q+m))*csc(...) is a strictly
 positive real, so complex powers are defined branch-free as
 exp(s * ln base) with the real natural logarithm, that is
 exp(sigma ln b) (cos(t ln b) + i sin(t ln b)); real powers use pow,
-identical in exact arithmetic.  ``finite_trig_sum`` evaluates the terms
-with numpy over blocks of p (the power through
-:func:`trigzeta.accumulate.positive_power`) and sums them exactly
-(:mod:`trigzeta.accumulate`); ``term`` is the same kernel on a
-one-index block, and the Tannery harness runs it on the sum's blocks.
+identical in exact arithmetic.  ``finite_trig_sum`` hands blocks of
+bases to :func:`trigzeta.accumulate.power_sum`, which takes their
+powers and sums them exactly, with the sum of b^Re(s) as the sum of
+magnitudes (for complex s, |b^s| in exact arithmetic); ``term`` is the
+same power (:func:`trigzeta.accumulate.positive_power`) on a one-index
+block, and the Tannery harness runs it on the sum's blocks.
 
 The bases do not depend on s, so each block of bases is computed once
 per (spec, q) and kept in a memo of at most _MEMO_BYTES = 1 MiB
@@ -44,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accumulate import _CHUNK, _block_bounds, exact_sum, positive_power
+from .accumulate import _CHUNK, _block_bounds, positive_power, power_sum
 from .errors import DomainError, UnsupportedRangeError
 
 
@@ -86,7 +87,8 @@ class SumEvaluation:
     ``rounding_bound`` is (4|s| + 4) eps sum|term|: each base carries a
     few roundings (angle, cos/sin, prefactor product) that the power
     magnifies by |s|, the power adds a few more, and the exact sum adds
-    at most one per block of terms.
+    at most one per block of terms.  sum|term| is taken as the sum of
+    b^Re(s) over the bases b.
     """
 
     q: int
@@ -181,7 +183,7 @@ def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
 
     The terms are evaluated with numpy in blocks of p, their bases
     taken from the module's memo, and summed with
-    :func:`trigzeta.accumulate.exact_sum`.  Memory stays at most the
+    :func:`trigzeta.accumulate.power_sum`.  Memory stays at most the
     1 MiB memo plus a working set of a few hundred kilobytes at any q;
     a sum of at most 32 blocks (131,072 terms) re-evaluated at another
     s recomputes only the powers and the sum.  For real s > 1 the
@@ -195,9 +197,8 @@ def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
     upper = upper_index(q, spec.n)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            value, magnitude = exact_sum(
-                positive_power(_block_bases(spec, q, lo, hi), s)
-                for lo, hi in _block_bounds(1, upper + 1)
+            value, magnitude = power_sum(
+                (_block_bases(spec, q, lo, hi) for lo, hi in _block_bounds(1, upper + 1)), s
             )
         except (OverflowError, ValueError):
             # math.fsum raises on inf - inf and on partial sums past the range

@@ -10,13 +10,6 @@ if str(_SRC) not in sys.path:
 
 
 @pytest.fixture(scope="session")
-def stieltjes_table():
-    from trigzeta import stieltjes
-
-    return stieltjes(8, 10**6)
-
-
-@pytest.fixture(scope="session")
 def prime_cache_1e5():
     from trigzeta import sieve_primes
 

@@ -1,6 +1,7 @@
 """Tests for the chunked exact summation helper."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from trigzeta.accumulate import (
     _CHUNK,
+    _COLUMN,
     _block_bounds,
     block_sum,
     exact_sum,
     index_blocks,
     positive_power,
+    power_sum,
 )
-from trigzeta.trig_sums import _block_bases, classical_form, upper_index
+from trigzeta.oracle import _dirichlet_sum
+from trigzeta.trig_sums import _block_bases, classical_form, finite_trig_sum, upper_index
 
 
 def test_index_blocks_cover_the_range_once():
@@ -66,8 +70,25 @@ _DYADIC = st.builds(math.ldexp, st.integers(-8, 8), st.integers(-1074, 1019))
 _FLOATS = st.one_of(st.floats(), _SPECIAL, _DYADIC)
 
 
+# full columns of distinct entries just below 2^e, whose high limbs are
+# near 2^w, with and without an entry past the column and low bits that count
+_NEAR_POWER = [1.0 - k * 2.0**-45 for k in range(1, _COLUMN + 1)]
+_COLUMN_EDGES = [
+    _NEAR_POWER,
+    _NEAR_POWER + [2.0**-40],
+    [(-1) ** k * v for k, v in enumerate(_NEAR_POWER)] + [3 * 2.0**-60],
+    [2.0**900 * v for v in _NEAR_POWER + _NEAR_POWER[:1]],
+    [-(2.0**-1000) * v for v in _NEAR_POWER + _NEAR_POWER[:1]] + [5e-324],
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_FLOATS, max_size=10_000))
+@example(_COLUMN_EDGES[0])
+@example(_COLUMN_EDGES[1])
+@example(_COLUMN_EDGES[2])
+@example(_COLUMN_EDGES[3])
+@example(_COLUMN_EDGES[4])
 @example([2.0**53, 1.0, 2.0**-60])
 @example([2.0**53, 1.0, -(2.0**-60)])
 @example([2.0**53, 1.0])
@@ -83,7 +104,7 @@ def test_block_sum_has_fsum_bits(values):
 
 def test_long_block_limb_columns_stay_exact():
     # 10^5 entries just below a power of two: every high limb is near
-    # 2^50, so one unsplit int64 column would wrap
+    # 2^w, so one unsplit column would pass 2^53 and round
     x = np.full(100_000, 1.0 - 2.0**-53)
     x[::2] *= -0.75
     assert block_sum(x).hex() == math.fsum(x.tolist()).hex()
@@ -91,6 +112,7 @@ def test_long_block_limb_columns_stay_exact():
 
 # the five distinct (kind, m, n) shapes of the catalog
 _SHAPES = [classical_form(c) for c in ("E28", "E29", "E30", "E31", "E32")]
+_KERNEL_S = [1.5, 2.0, 4.0, 30.0, 2.5 + 1.3j, 3 + 15j]
 
 
 def _kernel_blocks(s: complex):
@@ -100,7 +122,7 @@ def _kernel_blocks(s: complex):
                 yield positive_power(_block_bases(spec, q, lo, hi), s)
 
 
-@pytest.mark.parametrize("s", [1.5, 2.0, 4.0, 30.0, 2.5 + 1.3j, 3 + 15j])
+@pytest.mark.parametrize("s", _KERNEL_S)
 def test_kernel_blocks_have_fsum_bits(s):
     for t in _kernel_blocks(complex(s)):
         for part in (t.real, t.imag) if np.iscomplexobj(t) else (t,):
@@ -124,6 +146,69 @@ def test_zero_blocks_stay_in_numpy(monkeypatch):
     monkeypatch.setattr(math, "fsum", _no_fsum)
     assert block_sum(np.zeros(_CHUNK)).hex() == "0x0.0p+0"
     assert block_sum(np.full(_CHUNK, -0.0)).hex() == "0x0.0p+0"
+
+
+def test_limb_sum_at_a_midpoint_reaches_fsum(monkeypatch):
+    # 2^53 + 1 is a midpoint; what 2^-60 adds lies below the second limb,
+    # so only fsum can round it up
+    calls = []
+    fsum = math.fsum
+
+    def spy(values):
+        calls.append(list(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    values = [2.0**53, 1.0, 2.0**-60]
+    assert block_sum(np.array(values)) == 2.0**53 + 2.0
+    assert calls == [values]
+
+
+def _parent_power_sum(blocks, s):
+    """``exact_sum`` over ``positive_power`` of the blocks, each block's
+    parts summed by fsum and its magnitudes as |t|: the finite sums'
+    kernel before ``power_sum``, kept as the reference for its bits."""
+    re, im, mag = [], [], []
+    for base in blocks:
+        t = positive_power(base, s)
+        re.append(math.fsum(t.real.tolist()))
+        if np.iscomplexobj(t):
+            im.append(math.fsum(t.imag.tolist()))
+        mag.append(float(np.sum(np.abs(t))))
+    return complex(math.fsum(re), math.fsum(im)), math.fsum(mag)
+
+
+@pytest.mark.parametrize("s", _KERNEL_S)
+@pytest.mark.parametrize("q", [7, 4097, 10**5, 131073])
+def test_finite_sums_keep_the_parent_bits(s, q):
+    s = complex(s)
+    for spec in _SHAPES:
+        blocks = (_block_bases(spec, q, lo, hi) for lo, hi in _block_bounds(1, upper_index(q, spec.n) + 1))
+        value, mag = _parent_power_sum(blocks, s)
+        got = finite_trig_sum(spec, q, s)
+        assert (got.value.real.hex(), got.value.imag.hex()) == (value.real.hex(), value.imag.hex())
+        bound = (4.0 * abs(s) + 4.0) * sys.float_info.epsilon * mag
+        if s.imag == 0.0:
+            assert got.rounding_bound.hex() == bound.hex()
+        else:  # the sum of b^Re(s) in place of the sum of |b^s|
+            assert abs(got.rounding_bound - bound) <= 1e-15 * bound
+
+
+@pytest.mark.parametrize("s", [2.0, 3.7, 2.5 + 1.3j])
+@pytest.mark.parametrize("N", [63, 10**6])
+def test_dirichlet_sum_keeps_the_parent_bits(s, N):
+    value, mag = _parent_power_sum(index_blocks(1, N + 1), -complex(s))
+    got, got_mag = _dirichlet_sum(complex(s), N)
+    assert (got.real.hex(), got.imag.hex()) == (value.real.hex(), value.imag.hex())
+    if complex(s).imag == 0.0:
+        assert got_mag.hex() == mag.hex()
+    else:
+        assert abs(got_mag - mag) <= 1e-15 * mag
+
+
+def test_power_sum_of_no_blocks():
+    assert power_sum([], 2.0 + 0j) == (0j, 0.0)
+    assert power_sum([], 2.5 + 1.3j) == (0j, 0.0)
 
 
 @pytest.mark.parametrize("s", [2.5 + 1.3j, -0.5 + 18j, 1e-3 - 40j, -3 - 2j])

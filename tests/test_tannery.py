@@ -180,6 +180,18 @@ class TestConditionI:
         report = tz.verify_condition_i(bad, 5, [10, 100, 1000, 10**5], 1e-3)
         assert not report.passed
 
+    def test_nan_limit_fails_and_is_the_worst(self):
+        good = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
+        bad = dataclasses.replace(good, f_limit=lambda p: np.full(p.shape, math.nan))
+        report = tz.verify_condition_i(bad, 5, [10, 100, 1000], 1e-3)
+        assert not report.passed
+        assert math.isnan(report.worst_deviation) and report.worst_p == 5
+        # one nan index among finite deviations is still the one named
+        one = dataclasses.replace(good, f_limit=lambda p: np.where(p == 2, math.nan, good.f_limit(p)))
+        report = tz.verify_condition_i(one, 5, [10, 100, 1000], 1e-3)
+        assert not report.passed
+        assert math.isnan(report.worst_deviation) and report.worst_p == 2
+
     def test_p_max_must_fit_alpha(self):
         inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
         with pytest.raises(DomainError):
@@ -227,6 +239,21 @@ class TestConditionII:
         report = tz.verify_condition_ii(bad, 100, 1000)
         assert not report.dominance_ok and not report.passed
         assert (report.worst_ratio, report.worst_p, report.worst_q) == (math.inf, 7, 8)
+
+    def test_nan_term_fails_and_is_the_worst(self):
+        good = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
+        bad = dataclasses.replace(good, f=lambda p, q: np.full(p.shape, math.nan))
+        report = tz.verify_condition_ii(bad, 100, 1000)
+        assert not report.dominance_ok and not report.passed
+        # a nan term over p = 0's zero bound is a nan ratio, at the first q
+        assert math.isnan(report.worst_ratio)
+        assert (report.worst_p, report.worst_q) == (0, 1)
+        # a nan at p = 7 outranks the finite ratios and is named where it first enters
+        one = dataclasses.replace(good, f=lambda p, q: np.where(p == 7, math.nan, good.f(p, q)))
+        report = tz.verify_condition_ii(one, 100, 1000)
+        assert not report.dominance_ok and not report.passed
+        assert math.isnan(report.worst_ratio)
+        assert (report.worst_p, report.worst_q) == (7, 8)
 
     def test_exp_instance_converges(self):
         report = tz.verify_condition_ii(tz.exp_instance(1.0), 50, 10**4)
