@@ -30,8 +30,6 @@ from .errors import (
     UsageError,
 )
 from .oracle import (
-    BernoulliTable,
-    PrimeCache,
     ZetaReference,
     bernoulli_numbers,
     cross_routes,
@@ -77,7 +75,6 @@ from .trig_sums import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliTable",
     "CATALOG_IDS",
     "ConditionIIReport",
     "ConditionIReport",
@@ -89,7 +86,6 @@ __all__ = [
     "InsufficientDataError",
     "LimitEstimate",
     "OrderFit",
-    "PrimeCache",
     "QSchedule",
     "SumEvaluation",
     "SweepRecord",

@@ -142,7 +142,12 @@ def _resolve_spec(ns: argparse.Namespace) -> tuple[trig_sums.TrigSumSpec, str]:
 
 
 def parse_args(argv: list[str]) -> CliConfig:
-    """Parse and fully validate; no computation happens here."""
+    """Parse and fully validate; no computation happens here.
+
+    Raises:
+        UsageError: for bad flags, literals or flag combinations.
+        DomainError: for an unknown catalog id or a bad q-schedule.
+    """
     ns = _build_parser().parse_args(argv)
 
     if ns.command == "verify":
@@ -168,7 +173,7 @@ def parse_args(argv: list[str]) -> CliConfig:
         )
 
     if ns.command == "eval":
-        if ns.q is None or not spec.is_admissible(ns.q):
+        if not spec.is_admissible(ns.q):
             raise UsageError(
                 f"q={ns.q} inadmissible for n={spec.n} (requires q >= {spec.min_q()})"
             )
@@ -184,10 +189,7 @@ def parse_args(argv: list[str]) -> CliConfig:
             out_path=out_path,
         )
 
-    try:
-        sched = convergence.QSchedule(q0=ns.q0, factor=ns.factor, steps=ns.steps)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    sched = convergence.QSchedule(q0=ns.q0, factor=ns.factor, steps=ns.steps)
     if not spec.is_admissible(ns.q0):
         raise UsageError(
             f"q0={ns.q0} inadmissible for n={spec.n} (requires q >= {spec.min_q()})"
@@ -444,19 +446,14 @@ _COMMANDS = {
 
 def execute(config: CliConfig) -> int:
     """Run a validated config; returns the process exit status."""
-    if config.command not in _COMMANDS:
-        raise UsageError(f"unknown command {config.command!r}")
     return _COMMANDS[config.command](config)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse and run argv; every error ends in one ``error:`` line and
+    its documented exit status."""
     try:
-        config = parse_args(sys.argv[1:] if argv is None else list(argv))
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
-        return execute(config)
+        return execute(parse_args(sys.argv[1:] if argv is None else list(argv)))
     except (
         UsageError,
         DomainError,

@@ -32,8 +32,8 @@ floor proportional to the sum of absolute contributions; without the
 floor, bounds at large Re(s) would claim accuracy far beyond double
 precision.
 
-All operations are pure; the two table types are immutable after
-construction and safe for concurrent shared reads.
+All operations are pure, and every cached value is immutable (tuples,
+read-only arrays), so concurrent callers may share them.
 """
 
 from __future__ import annotations
@@ -95,33 +95,9 @@ class ZetaReference:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class BernoulliTable:
-    """Exact rationals B_0 .. B_{2K}, first convention (B_1 = -1/2)."""
-
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.values[index]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, slots=True)
-class PrimeCache:
-    """Ascending list of all primes <= limit."""
-
-    primes: tuple[int, ...]
-    limit: int
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-
 @lru_cache(maxsize=8)
-def sieve_primes(limit: int) -> PrimeCache:
-    """All primes <= limit by the sieve of Eratosthenes."""
+def sieve_primes(limit: int) -> tuple[int, ...]:
+    """All primes <= limit, ascending, by the sieve of Eratosthenes."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     flags = np.ones(limit + 1, dtype=bool)
@@ -129,10 +105,9 @@ def sieve_primes(limit: int) -> PrimeCache:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeCache(primes=tuple(int(p) for p in np.nonzero(flags)[0]), limit=limit)
+    return tuple(int(p) for p in np.nonzero(flags)[0])
 
 
-@lru_cache(maxsize=64)
 def _dirichlet_sum(s: complex, N: int) -> tuple[complex, float]:
     """(sum_{n<=N} n^-s, sum of magnitudes), summed exactly."""
     return power_sum(index_blocks(1, N + 1), -s)
@@ -227,19 +202,6 @@ def _em_integral(s: complex, n: int, X: int) -> tuple[complex, float]:
     return exact_sum(interval(k) for k in index_blocks(n, X))
 
 
-@lru_cache(maxsize=64)
-def _euler_maclaurin_cached(s: complex, n: int, X: int) -> ZetaReference:
-    direct, direct_mag = _dirichlet_sum(s, n)
-    pole_term = n ** (1.0 - s) / (s - 1.0)
-    integral, integral_mag = _em_integral(s, n, X)
-    value = direct + pole_term - s * integral
-    sigma = s.real
-    tail = abs(s) * X ** (-sigma) / sigma
-    scale = direct_mag + abs(pole_term) + abs(s) * integral_mag
-    value_out = value.real if s.imag == 0.0 else value
-    return ZetaReference(complex(value_out), "euler_maclaurin", tail + _rounding_floor(scale))
-
-
 def zeta_euler_maclaurin(s: complex, n: int, X: int) -> ZetaReference:
     """Floor-function formula: partial sum to n, the n^(1-s)/(s-1) term,
     and -s times the fractional-part integral truncated at X.
@@ -256,13 +218,33 @@ def zeta_euler_maclaurin(s: complex, n: int, X: int) -> ZetaReference:
         raise DomainError(f"n must be positive, got {n}")
     if X < n:
         raise DomainError(f"X must satisfy X >= n, got X={X} < n={n}")
-    return _euler_maclaurin_cached(s, n, X)
+    direct, direct_mag = _dirichlet_sum(s, n)
+    pole_term = n ** (1.0 - s) / (s - 1.0)
+    integral, integral_mag = _em_integral(s, n, X)
+    value = direct + pole_term - s * integral
+    sigma = s.real
+    tail = abs(s) * X ** (-sigma) / sigma
+    scale = direct_mag + abs(pole_term) + abs(s) * integral_mag
+    value_out = value.real if s.imag == 0.0 else value
+    return ZetaReference(complex(value_out), "euler_maclaurin", tail + _rounding_floor(scale))
 
 
-@lru_cache(maxsize=64)
-def _euler_product_cached(s: complex, limit: int) -> ZetaReference:
-    cache = sieve_primes(limit)
-    p = np.asarray(cache.primes, dtype=np.float64)
+def zeta_euler_product(s: complex, limit: int) -> ZetaReference:
+    """Product over the primes <= limit of (1 - p^-s)^-1 for Re(s) > 1.
+
+    Accumulated in the log domain, exp(-sum log(1 - p^-s)) with the
+    principal logarithm; |p^-s| < 1 keeps every factor off the branch
+    cut.  The reported bound is the heuristic tail sum_{k>limit} k^(-Re s)
+    (it is in fact a true bound: the partial product equals the sum of
+    n^-s over limit-smooth n, and every omitted integer exceeds limit).
+
+    Raises:
+        DomainError: for Re(s) <= 1, or limit < 2 (no prime).
+    """
+    s = complex(s)
+    if not s.real > 1.0:
+        raise DomainError(f"Euler product needs Re(s) > 1, got Re(s)={s.real}")
+    p = np.asarray(sieve_primes(limit), dtype=np.float64)
     log_total, log_mag = exact_sum([np.log1p(-positive_power(p, -s))])
     value = cmath.exp(-log_total)
     sigma = s.real
@@ -272,30 +254,19 @@ def _euler_product_cached(s: complex, limit: int) -> ZetaReference:
     return ZetaReference(complex(value_out), "euler_product", tail + _rounding_floor(scale))
 
 
-def zeta_euler_product(s: complex, cache: PrimeCache) -> ZetaReference:
-    """Product over the cached primes of (1 - p^-s)^-1 for Re(s) > 1.
-
-    Accumulated in the log domain, exp(-sum log(1 - p^-s)) with the
-    principal logarithm; |p^-s| < 1 keeps every factor off the branch
-    cut.  The reported bound is the heuristic tail sum_{k>limit} k^(-Re s)
-    (it is in fact a true bound: the partial product equals the sum of
-    n^-s over limit-smooth n, and every omitted integer exceeds limit).
-    """
-    s = complex(s)
-    if not s.real > 1.0:
-        raise DomainError(f"Euler product needs Re(s) > 1, got Re(s)={s.real}")
-    if len(cache) == 0:
-        raise DomainError("prime cache is empty")
-    return _euler_product_cached(s, cache.limit)
-
-
 _BERNOULLI_MAX_K = 60
+
+# pi to 64 significant digits (relative error below 1e-64).  (2 pi)^(2n)
+# is then off by less than 2n 1e-64 relative, so float() rounds zeta(2n)
+# correctly unless it lies that close to a rounding boundary; the tests
+# compare every n <= 60 with a 50-digit evaluation.
+_PI = Fraction("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
 @lru_cache(maxsize=4)
-def bernoulli_numbers(K: int) -> BernoulliTable:
-    """Exact B_0..B_{2K} from the defining recurrence
-    sum_{j=0}^{m} C(m+1, j) B_j = 0 over Fractions.
+def bernoulli_numbers(K: int) -> tuple[Fraction, ...]:
+    """Exact B_0..B_{2K} (first convention, B_1 = -1/2) from the
+    defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 over Fractions.
 
     Supported for K <= 60; beyond that exactness is still possible but
     not promised by this artifact.
@@ -310,28 +281,23 @@ def bernoulli_numbers(K: int) -> BernoulliTable:
         for j in range(m):
             acc += math.comb(m + 1, j) * values[j]
         values.append(-acc / (m + 1))
-    return BernoulliTable(values=tuple(values))
+    return tuple(values)
 
 
 def zeta_even(n: int) -> ZetaReference:
     """zeta(2n) = (-1)^(n+1) (2 pi)^(2n) B_{2n} / (2 (2n)!), exactly
     rational up to the (2 pi)^(2n) factor.
 
-    Evaluated at 50 digits and rounded once to binary64, so the
-    reported bound is 2 ulps.  n = 0 (which would assert a value for
+    Evaluated in exact rationals with the 64-digit ``_PI`` and rounded
+    once to binary64 by float(Fraction), so the reported bound of 2 ulps
+    holds with room to spare.  n = 0 (which would assert a value for
     zeta(0)) is outside this artifact's evaluation domain.
     """
     if n < 1:
         raise UnsupportedRangeError("n = 0 (zeta(0)) is not computed by this artifact")
-    import mpmath  # imported by its only user, so `import trigzeta` skips it
-
-    table = bernoulli_numbers(max(n, 5))
-    b = table[2 * n]
+    b = bernoulli_numbers(max(n, 5))[2 * n]
     rational = Fraction((-1) ** (n + 1), 2 * math.factorial(2 * n)) * b
-    with mpmath.workdps(50):
-        v = (2 * mpmath.pi) ** (2 * n)
-        v = v * mpmath.mpf(rational.numerator) / mpmath.mpf(rational.denominator)
-        value = float(v)
+    value = float(rational * (2 * _PI) ** (2 * n))
     return ZetaReference(complex(value), "bernoulli", 2.0 * math.ulp(abs(value)))
 
 
@@ -514,7 +480,7 @@ def cross_routes(s: complex) -> list[ZetaReference]:
             zeta_dirichlet(s, 1_000_000),
             zeta_eta(s, 1_000_000),
             zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s)),
-            zeta_euler_product(s, sieve_primes(100_000)),
+            zeta_euler_product(s, 100_000),
         ]
     else:
         refs = [zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import trigzeta as tz
 from trigzeta import cli
-from trigzeta.errors import UsageError
+from trigzeta.errors import DomainError, UsageError
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -92,7 +92,7 @@ class TestParseArgs:
             cli.parse_args(["eval", "--s", "2", "--rep", "E28", "--q", "10", "--bogus"])
 
     def test_unknown_catalog_id(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError, match="unknown catalog id"):
             cli.parse_args(["eval", "--s", "2", "--rep", "E99", "--q", "10"])
 
     def test_rep_conflicts_with_explicit(self):
@@ -181,6 +181,9 @@ class TestExecution:
             # pi^700 overflows: the csc bound at p = 1
             ("verify", "--suite", "tannery", "--s", "700"),
             ("verify", "--suite", "tannery", "--s", "1e300"),
+            # unknown catalog ids
+            ("eval", "--s", "2", "--rep", "E99", "--q", "10"),
+            ("converge", "--s", "2", "--rep", "E99"),
         ],
     )
     def test_bad_s_one_error_line(self, args):
@@ -193,6 +196,16 @@ class TestExecution:
     def test_import_leaves_mpmath_out(self):
         result = run_python("-c", "import sys, trigzeta; print('mpmath' in sys.modules)")
         assert result.stdout == "False\n"
+
+    def test_bernoulli_suite_runs_without_mpmath(self):
+        # None in sys.modules makes every `import mpmath` raise ImportError
+        code = (
+            "import sys; sys.modules['mpmath'] = None; from trigzeta import cli; "
+            "sys.exit(cli.main(['verify', '--suite', 'bernoulli']))"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("suite bernoulli: all checks passed\n")
 
     def test_strip_oracle_leaves_mpmath_out(self):
         # Borwein's truncation bound takes ln|Gamma(s)| from Stirling's series
@@ -342,7 +355,7 @@ def _argv(draw) -> list[str]:
         return ["verify", "--suite", "tannery", "--s", s]
     if command == "oracle":
         return ["oracle", "--s", s, *draw(_OUTPUT)]
-    rep = ["--rep", draw(st.sampled_from(tz.CATALOG_IDS))]
+    rep = ["--rep", draw(st.sampled_from((*tz.CATALOG_IDS, "E99", "e28", "")))]
     if command == "eval":
         return ["eval", "--s", s, *rep, "--q", str(draw(st.integers(-2, 1000))), *draw(_OUTPUT)]
     # q0 * 2^(steps-1) <= 1000
@@ -358,6 +371,7 @@ def _argv(draw) -> list[str]:
 @example(["verify", "--suite", "tannery", "--s", "400"])
 @example(["verify", "--suite", "tannery", "--s", "1e300"])
 @example(["oracle", "--s", "0.5+14.134725141734693i"])
+@example(["eval", "--s", "2", "--rep", "E99", "--q", "10"])
 def test_any_argv_exits_cleanly(argv):
     status, _, err = run_main(argv)
     assert status in (0, 1, 2)

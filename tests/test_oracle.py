@@ -18,6 +18,7 @@ from trigzeta.oracle import (
     _em_borwein_pair,
     _em_integral,
     _eta_denominator,
+    _PI,
     _reference_routes,
 )
 
@@ -139,15 +140,25 @@ class TestEulerMaclaurin:
         with pytest.raises(DomainError):
             tz.zeta_euler_maclaurin(-1.0, 10, 100)
 
+    @pytest.mark.parametrize("s", [1.05, 1.5, 3.7, 2.5 + 1.3j, 0.9, 0.5 + 18j])
+    def test_value_does_not_depend_on_n(self, s):
+        # in exact arithmetic the route is sum_{k<=X} k^-s + X^(1-s)/(s-1)
+        # whatever n is, so n = X (no integral at all) must agree
+        X = 10**5
+        whole = tz.zeta_euler_maclaurin(s, X, X).value
+        for n in (1, 64, 500):
+            value = tz.zeta_euler_maclaurin(s, n, X).value
+            assert abs(value - whole) <= 1e-12 * abs(whole)
+
 
 class TestEulerProduct:
-    def test_zeta_two(self, prime_cache_1e5):
-        ref = tz.zeta_euler_product(2, prime_cache_1e5)
+    def test_zeta_two(self):
+        ref = tz.zeta_euler_product(2, 100_000)
         assert abs(ref.value - tz.zeta_even(1).value) <= ref.error_bound
         assert ref.error_bound == pytest.approx(1e-5, rel=1e-3)
 
-    def test_zeta_three(self, prime_cache_1e5):
-        ref = tz.zeta_euler_product(3, prime_cache_1e5)
+    def test_zeta_three(self):
+        ref = tz.zeta_euler_product(3, 100_000)
         assert abs(ref.value - tz.zeta_dirichlet(3, 10**6).value) <= (
             ref.error_bound + 1e-12
         )
@@ -155,23 +166,22 @@ class TestEulerProduct:
         assert ref.error_bound < 1e-10
 
     def test_single_prime(self):
-        cache = tz.PrimeCache(primes=(2,), limit=2)
-        ref = tz.zeta_euler_product(2, cache)
+        ref = tz.zeta_euler_product(2, 2)
         assert ref.value.real == pytest.approx(4.0 / 3.0, rel=1e-15)
 
-    def test_domain_errors(self, prime_cache_1e5):
+    def test_domain_errors(self):
         with pytest.raises(DomainError):
-            tz.zeta_euler_product(1, prime_cache_1e5)
+            tz.zeta_euler_product(1, 100_000)
         with pytest.raises(DomainError):
-            tz.zeta_euler_product(2, tz.PrimeCache(primes=(), limit=2))
+            tz.zeta_euler_product(2, 1)  # no prime <= 1
 
 
-class TestPrimeCache:
+class TestSieve:
     def test_count_below_ten_thousand(self):
         assert len(tz.sieve_primes(10**4)) == 1229
 
     def test_trial_division(self):
-        primes = tz.sieve_primes(10**4).primes
+        primes = tz.sieve_primes(10**4)
         listed = set(primes)
         for p in primes:
             assert all(p % d for d in range(2, math.isqrt(p) + 1))
@@ -231,6 +241,22 @@ class TestZetaEven:
     def test_zero_rejected(self):
         with pytest.raises(UnsupportedRangeError):
             tz.zeta_even(0)
+
+    def test_bits_of_the_fifty_digit_formula(self):
+        # the route's earlier evaluation: (2 pi)^(2n) at 50 mpmath digits
+        def fifty_digits(n: int) -> float:
+            b = tz.bernoulli_numbers(max(n, 5))[2 * n]
+            rational = Fraction((-1) ** (n + 1), 2 * math.factorial(2 * n)) * b
+            with mpmath.workdps(50):
+                v = (2 * mpmath.pi) ** (2 * n)
+                return float(v * mpmath.mpf(rational.numerator) / mpmath.mpf(rational.denominator))
+
+        differ = [n for n in range(1, 61) if tz.zeta_even(n).value.real.hex() != fifty_digits(n).hex()]
+        assert differ == []
+
+    def test_pi_literal_has_64_digits_of_pi(self):
+        with mpmath.workdps(80):
+            assert _PI == Fraction(mpmath.nstr(+mpmath.pi, 64))
 
 
 def mp_zeta(s: complex, dps: int = 50) -> mpmath.mpc:
