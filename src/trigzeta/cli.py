@@ -13,16 +13,21 @@ Every error path writes one ``error: ...`` line to stderr.  Output is
 deterministic: identical argv yields byte-identical CSV/JSON.  Complex
 literals are written RE, RE+IMi or RE-IMi with no spaces (e.g. ``2``,
 ``2.5+1.3i``).
+
+Every flag is validated before anything is computed.  ``verify`` prints
+one line per check, then ``suite NAME: all checks passed`` or one
+``error:`` line that counts the failed checks and names the first.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import convergence, oracle, tannery, trig_sums
 from .errors import (
@@ -65,19 +70,6 @@ def _fmt_complex(z: complex) -> str:
         return float_text(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{float_text(z.real)}{sign}{float_text(abs(z.imag))}i"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    s: complex | None = None
-    spec: trig_sums.TrigSumSpec | None = None
-    rep_label: str | None = None
-    q: int | None = None
-    schedule: convergence.QSchedule | None = None
-    suite: str | None = None
-    output: str = "text"
-    out_path: Path | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,8 +123,7 @@ def _resolve_spec(ns: argparse.Namespace) -> tuple[trig_sums.TrigSumSpec, str]:
     if ns.rep is not None:
         if any(v is not None for v in explicit):
             raise UsageError("--rep and --kind/--m/--n are mutually exclusive")
-        spec = trig_sums.classical_form(ns.rep)
-        return spec, ns.rep
+        return trig_sums.classical_form(ns.rep), ns.rep
     if any(v is None for v in explicit):
         raise UsageError("need either --rep or all of --kind/--m/--n")
     if ns.m < 0 or ns.n < 0:
@@ -141,82 +132,68 @@ def _resolve_spec(ns: argparse.Namespace) -> tuple[trig_sums.TrigSumSpec, str]:
     return spec, f"{ns.kind}(m={ns.m},n={ns.n})"
 
 
-def parse_args(argv: list[str]) -> CliConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse and fully validate; no computation happens here.
+
+    Returns the argparse namespace with ``s`` parsed to a complex (None
+    when ``verify`` has no --s).  For ``eval`` and ``converge`` it also
+    carries the resolved ``spec`` and its ``rep_label``, and for
+    ``converge`` the q ``schedule``.
 
     Raises:
         UsageError: for bad flags, literals or flag combinations.
         DomainError: for an unknown catalog id or a bad q-schedule.
     """
     ns = _build_parser().parse_args(argv)
+    ns.s = None if ns.s is None else parse_complex(ns.s)
 
     if ns.command == "verify":
-        s = None if ns.s is None else parse_complex(ns.s)
-        if s is not None and ns.suite != "tannery":
+        if ns.s is not None and ns.suite != "tannery":
             raise UsageError("--s applies to the tannery suite only")
-        return CliConfig(command="verify", suite=ns.suite, s=s)
-
-    s = parse_complex(ns.s)
-    out_path = None if ns.out is None else Path(ns.out)
+        return ns
 
     if ns.command == "oracle":
-        if not s.real > 0.0 or s == 1:
+        if not ns.s.real > 0.0 or ns.s == 1:
             raise UsageError(
-                f"oracle needs Re(s) > 0 and s != 1, got s={_fmt_complex(s)}"
+                f"oracle needs Re(s) > 0 and s != 1, got s={_fmt_complex(ns.s)}"
             )
-        return CliConfig(command="oracle", s=s, output=ns.output, out_path=out_path)
+        return ns
 
-    spec, label = _resolve_spec(ns)
-    if not s.real > 1.0:
+    ns.spec, ns.rep_label = _resolve_spec(ns)
+    if not ns.s.real > 1.0:
         raise UsageError(
-            f"the limit representations need Re(s) > 1, got s={_fmt_complex(s)}"
+            f"the limit representations need Re(s) > 1, got s={_fmt_complex(ns.s)}"
         )
 
     if ns.command == "eval":
-        if not spec.is_admissible(ns.q):
+        if not ns.spec.is_admissible(ns.q):
             raise UsageError(
-                f"q={ns.q} inadmissible for n={spec.n} (requires q >= {spec.min_q()})"
+                f"q={ns.q} inadmissible for n={ns.spec.n} (requires q >= {ns.spec.min_q()})"
             )
-        if trig_sums.upper_index(ns.q, spec.n) > TERM_BUDGET:
+        if trig_sums.upper_index(ns.q, ns.spec.n) > TERM_BUDGET:
             raise UsageError(f"q={ns.q} sums more than {TERM_BUDGET} terms")
-        return CliConfig(
-            command="eval",
-            s=s,
-            spec=spec,
-            rep_label=label,
-            q=ns.q,
-            output=ns.output,
-            out_path=out_path,
-        )
+        return ns
 
-    sched = convergence.QSchedule(q0=ns.q0, factor=ns.factor, steps=ns.steps)
-    if not spec.is_admissible(ns.q0):
+    ns.schedule = convergence.QSchedule(q0=ns.q0, factor=ns.factor, steps=ns.steps)
+    if not ns.spec.is_admissible(ns.q0):
         raise UsageError(
-            f"q0={ns.q0} inadmissible for n={spec.n} (requires q >= {spec.min_q()})"
+            f"q0={ns.q0} inadmissible for n={ns.spec.n} (requires q >= {ns.spec.min_q()})"
         )
     # step by step, so a huge --steps stops at the first point over budget
-    total, q = 0, sched.q0
-    for _ in range(sched.steps):
-        total += trig_sums.upper_index(q, spec.n)
+    total, q = 0, ns.q0
+    for _ in range(ns.steps):
+        total += trig_sums.upper_index(q, ns.spec.n)
         if total > TERM_BUDGET:
             raise UsageError(f"the schedule sums more than {TERM_BUDGET} terms")
-        q *= sched.factor
-    return CliConfig(
-        command="converge",
-        s=s,
-        spec=spec,
-        rep_label=label,
-        schedule=sched,
-        output=ns.output,
-        out_path=out_path,
-    )
+        q *= ns.factor
+    return ns
 
 
-def _emit(text: str, out_path: Path | None) -> None:
-    if out_path is None:
+def _emit(text: str, out: str | None) -> None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        write_text_atomic(out_path, text)
+        write_text_atomic(Path(out), text)
 
 
 def _reference_line(ref: oracle.ZetaReference) -> str:
@@ -226,20 +203,19 @@ def _reference_line(ref: oracle.ZetaReference) -> str:
     )
 
 
-def _run_eval(config: CliConfig) -> int:
-    assert config.spec is not None and config.s is not None and config.q is not None
-    ev = trig_sums.finite_trig_sum(config.spec, config.q, config.s)
-    ref = oracle.reference_zeta(config.s)
+def _run_eval(args: argparse.Namespace) -> int:
+    ev = trig_sums.finite_trig_sum(args.spec, args.q, args.s)
+    ref = oracle.reference_zeta(args.s)
     abs_error = abs(ev.value - ref.value)
-    if config.output == "csv":
+    if args.output == "csv":
         record = convergence.SweepRecord(q=ev.q, estimate=ev.value, abs_error=abs_error)
         text = convergence.to_csv(convergence.ConvergenceSeries((record,), ref, None, None))
-    elif config.output == "json":
+    elif args.output == "json":
         text = json_text(
             {
-                "s_re": config.s.real,
-                "s_im": config.s.imag,
-                "representation": config.rep_label,
+                "s_re": args.s.real,
+                "s_im": args.s.imag,
+                "representation": args.rep_label,
                 "q": ev.q,
                 "term_count": ev.term_count,
                 "re_value": ev.value.real,
@@ -251,29 +227,28 @@ def _run_eval(config: CliConfig) -> int:
         )
     else:
         text = (
-            f"s = {_fmt_complex(config.s)}\n"
-            f"representation = {config.rep_label}\n"
+            f"s = {_fmt_complex(args.s)}\n"
+            f"representation = {args.rep_label}\n"
             f"q = {ev.q}\n"
             f"term_count = {ev.term_count}\n"
             f"value = {_fmt_complex(ev.value)}\n"
             f"{_reference_line(ref)}\n"
             f"abs_error = {float_text(abs_error)}\n"
         )
-    _emit(text, config.out_path)
+    _emit(text, args.out)
     return 0
 
 
-def _run_converge(config: CliConfig) -> int:
-    assert config.spec is not None and config.s is not None and config.schedule is not None
-    series = convergence.run_sweep(config.spec, config.s, config.schedule)
-    if config.output == "csv":
+def _run_converge(args: argparse.Namespace) -> int:
+    series = convergence.run_sweep(args.spec, args.s, args.schedule)
+    if args.output == "csv":
         text = convergence.to_csv(series)
-    elif config.output == "json":
+    elif args.output == "json":
         text = convergence.to_json(series)
     else:
         lines = [
-            f"s = {_fmt_complex(config.s)}",
-            f"representation = {config.rep_label}",
+            f"s = {_fmt_complex(args.s)}",
+            f"representation = {args.rep_label}",
             _reference_line(series.reference),
             f"{'q':>10}  {'estimate':>24}  {'abs_error':>12}",
         ]
@@ -287,83 +262,74 @@ def _run_converge(config: CliConfig) -> int:
                 f"(empirical; fit residual {float_text(series.fit_residual or 0.0)})"
             )
         text = "\n".join(lines) + "\n"
-    _emit(text, config.out_path)
+    _emit(text, args.out)
     return 0
 
 
-def _run_oracle(config: CliConfig) -> int:
-    assert config.s is not None
-    ref = oracle.reference_zeta(config.s)
-    if config.output == "json":
-        text = json_text({"s_re": config.s.real, "s_im": config.s.imag, **ref.to_dict()})
-    elif config.output == "csv":
+def _run_oracle(args: argparse.Namespace) -> int:
+    ref = oracle.reference_zeta(args.s)
+    if args.output == "json":
+        text = json_text({"s_re": args.s.real, "s_im": args.s.imag, **ref.to_dict()})
+    elif args.output == "csv":
         text = (
             "s,re_value,im_value,method,error_bound\n"
-            f"{_fmt_complex(config.s)},{float_text(ref.value.real)},"
+            f"{_fmt_complex(args.s)},{float_text(ref.value.real)},"
             f"{float_text(ref.value.imag)},{ref.method},{float_text(ref.error_bound)}\n"
         )
     else:
         text = (
-            f"s = {_fmt_complex(config.s)}\n"
+            f"s = {_fmt_complex(args.s)}\n"
             f"zeta = {_fmt_complex(ref.value)}\n"
             f"method = {ref.method}\n"
             f"error_bound = {float_text(ref.error_bound)}\n"
         )
-    _emit(text, config.out_path)
+    _emit(text, args.out)
     return 0
 
 
 # ----------------------------- verify suites -----------------------------
 
+#: One check of a suite: its printed line, and its failure or None.
+_Check = tuple[str, str | None]
 
-def _suite_bernoulli() -> list[str]:
-    failures = []
+
+def _check(ok: bool, line: str, failure: str) -> _Check:
+    return f"{line} {'ok' if ok else 'FAIL'}", None if ok else failure
+
+
+def _suite_bernoulli(_s: complex | None) -> Iterator[_Check]:
     for n in range(1, 6):
         even = oracle.zeta_even(n)
         ref = oracle.zeta_dirichlet(complex(2 * n), 1_000_000)
         gap = abs(even.value - ref.value)
-        ok = gap <= ref.error_bound
-        print(
+        yield _check(
+            gap <= ref.error_bound,
             f"bernoulli n={n}: |zeta_even - dirichlet| = {gap:.3e} "
-            f"(bound {ref.error_bound:.3e}) {'ok' if ok else 'FAIL'}"
+            f"(bound {ref.error_bound:.3e})",
+            f"zeta_even({n}) vs dirichlet gap {gap:.3e} > {ref.error_bound:.3e}",
         )
-        if not ok:
-            failures.append(f"zeta_even({n}) vs dirichlet gap {gap:.3e} > {ref.error_bound:.3e}")
-    return failures
 
 
 #: Re(s) > 1, then the critical strip 0 < Re(s) <= 1.
 _CROSS_S = (1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0, 0.5, 0.9, 0.5 + 18j)
 
 
-def _suite_cross() -> list[str]:
-    failures = []
+def _suite_cross(_s: complex | None) -> Iterator[_Check]:
     for s in _CROSS_S:
         s = complex(s)
-        refs = oracle.cross_routes(s)
-        for i in range(len(refs)):
-            for j in range(i + 1, len(refs)):
-                a, b = refs[i], refs[j]
-                gap = abs(a.value - b.value)
-                allowance = a.error_bound + b.error_bound
-                ok = gap <= allowance
-                print(
-                    f"cross s={_fmt_complex(s)}: |{a.method} - {b.method}| = {gap:.3e} "
-                    f"(bounds sum {allowance:.3e}) {'ok' if ok else 'FAIL'}"
-                )
-                if not ok:
-                    failures.append(
-                        f"s={_fmt_complex(s)} {a.method} vs {b.method}: "
-                        f"{gap:.3e} > {allowance:.3e}"
-                    )
-    return failures
+        for a, b in itertools.combinations(oracle.cross_routes(s), 2):
+            gap = abs(a.value - b.value)
+            allowance = a.error_bound + b.error_bound
+            yield _check(
+                gap <= allowance,
+                f"cross s={_fmt_complex(s)}: |{a.method} - {b.method}| = {gap:.3e} "
+                f"(bounds sum {allowance:.3e})",
+                f"s={_fmt_complex(s)} {a.method} vs {b.method}: {gap:.3e} > {allowance:.3e}",
+            )
 
 
-def _suite_tannery(s: complex | None) -> list[str]:
-    s_values = [1.5, 2.0, 3.0] if s is None else [s]
-    failures = []
-    for s_val in s_values:
-        s_val = complex(s_val)
+def _suite_tannery(s: complex | None) -> Iterator[_Check]:
+    for s_val in map(complex, [1.5, 2.0, 3.0] if s is None else [s]):
         if s_val.imag != 0.0:
             raise UsageError("the tannery suite checks real s only")
         reports = []
@@ -377,62 +343,54 @@ def _suite_tannery(s: complex | None) -> list[str]:
             rep_i = tannery.verify_condition_i(inst, 5, [10**j for j in range(1, k + 1)], 1e-3)
             reports.append(tannery.ConditionReport(inst.name, rep_i, rep_ii))
         for report in reports:
-            print(report.to_kv())
-            if not report.passed:
-                reason = []
-                if not report.condition_i.passed:
-                    reason.append("condition (i)")
-                if not report.condition_ii.passed:
-                    reason.append(
-                        "condition (ii)"
-                        + ("" if report.condition_ii.series_converges
-                           else " (bound series not convergent)")
-                    )
-                failures.append(f"{report.instance}: {' and '.join(reason)} failed")
-    return failures
+            ii = report.condition_ii
+            reason = [] if report.condition_i.passed else ["condition (i)"]
+            if not ii.passed:
+                converges = "" if ii.series_converges else " (bound series not convergent)"
+                reason.append(f"condition (ii){converges}")
+            failure = f"{report.instance}: {' and '.join(reason)} failed"
+            yield report.to_kv(), None if report.passed else failure
 
 
-def _suite_specializations() -> list[str]:
-    failures = []
-    s = complex(2.0)
-    q = 2048
+def _suite_specializations(_s: complex | None) -> Iterator[_Check]:
+    s, q = complex(2.0), 2048
     ref = oracle.reference_zeta(s)
     tol_rel = 10.0 / q
     for cid in trig_sums.CATALOG_IDS:
         spec = trig_sums.classical_form(cid)
         ev = trig_sums.finite_trig_sum(spec, q, s)
         rel = abs(ev.value - ref.value) / abs(ref.value)
-        ok = rel < tol_rel
-        print(
+        yield _check(
+            rel < tol_rel,
             f"specialization {cid} -> ({spec.kind.value}, m={spec.m}, n={spec.n}): "
-            f"upper {ev.term_count} rel_err {rel:.3e} (tol {tol_rel:.3e}) "
-            f"{'ok' if ok else 'FAIL'}"
+            f"upper {ev.term_count} rel_err {rel:.3e} (tol {tol_rel:.3e})",
+            f"{cid}: rel err {rel:.3e} >= {tol_rel:.3e} at q={q}",
         )
-        if not ok:
-            failures.append(f"{cid}: rel err {rel:.3e} >= {tol_rel:.3e} at q={q}")
-    return failures
 
 
-#: Each suite's checks, given the --s that only the tannery suite takes;
-#: each prints its lines and returns its failures.
-_SUITES = {
-    "bernoulli": lambda s: _suite_bernoulli(),
-    "cross": lambda s: _suite_cross(),
+#: Each suite's checks in print order, given the --s that only the
+#: tannery suite reads.
+_SUITES: dict[str, Callable[[complex | None], Iterator[_Check]]] = {
+    "bernoulli": _suite_bernoulli,
+    "cross": _suite_cross,
     "tannery": _suite_tannery,
-    "specializations": lambda s: _suite_specializations(),
+    "specializations": _suite_specializations,
 }
 
 
-def _run_verify(config: CliConfig) -> int:
-    assert config.suite is not None
-    failures = _SUITES[config.suite](config.s)
+def _run_verify(args: argparse.Namespace) -> int:
+    failures = []
+    for line, failure in _SUITES[args.suite](args.s):
+        print(line)
+        if failure is not None:
+            failures.append(failure)
     if failures:
         sys.stderr.write(
-            f"error: verify suite {config.suite}: {len(failures)} check(s) failed: "
+            f"error: verify suite {args.suite}: {len(failures)} check(s) failed: "
             f"{failures[0]}\n"
         )
         return 2
-    print(f"suite {config.suite}: all checks passed")
+    print(f"suite {args.suite}: all checks passed")
     return 0
 
 
@@ -444,9 +402,9 @@ _COMMANDS = {
 }
 
 
-def execute(config: CliConfig) -> int:
-    """Run a validated config; returns the process exit status."""
-    return _COMMANDS[config.command](config)
+def execute(args: argparse.Namespace) -> int:
+    """Run parse_args' validated namespace; returns the process exit status."""
+    return _COMMANDS[args.command](args)
 
 
 def main(argv: list[str] | None = None) -> int:

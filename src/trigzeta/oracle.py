@@ -195,9 +195,10 @@ def _em_integral(s: complex, n: int, X: int) -> tuple[complex, float]:
     one_minus_s = 1.0 - s
 
     def interval(k: np.ndarray) -> np.ndarray:
-        k1 = k + 1.0
-        term = (positive_power(k1, one_minus_s) - positive_power(k, one_minus_s)) / one_minus_s
-        return term + (k / s) * (positive_power(k1, -s) - positive_power(k, -s))
+        ends = np.append(k, k[-1] + 1.0)  # k and k + 1, each power taken once
+        rise, drop = positive_power(ends, one_minus_s), positive_power(ends, -s)
+        term = (rise[1:] - rise[:-1]) / one_minus_s
+        return term + (k / s) * (drop[1:] - drop[:-1])
 
     return exact_sum(interval(k) for k in index_blocks(n, X))
 
@@ -263,10 +264,20 @@ _BERNOULLI_MAX_K = 60
 _PI = Fraction("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
+def _bernoulli_table() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    """(exact B_0..B_120, and B_2k/(2k)! for k = 1..60 each rounded
+    once), from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * _BERNOULLI_MAX_K + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    coefficients = [b[2 * k] / math.factorial(2 * k) for k in range(1, _BERNOULLI_MAX_K + 1)]
+    return tuple(b), tuple(float(c) for c in coefficients)
+
+
 def bernoulli_numbers(K: int) -> tuple[Fraction, ...]:
-    """Exact B_0..B_{2K} (first convention, B_1 = -1/2) from the
-    defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 over Fractions.
+    """Exact B_0..B_{2K} (first convention, B_1 = -1/2): a prefix of one
+    table, built once.
 
     Supported for K <= 60; beyond that exactness is still possible but
     not promised by this artifact.
@@ -275,13 +286,7 @@ def bernoulli_numbers(K: int) -> tuple[Fraction, ...]:
         raise DomainError(f"K must be positive, got {K}")
     if K > _BERNOULLI_MAX_K:
         raise UnsupportedRangeError(f"K={K} exceeds supported maximum {_BERNOULLI_MAX_K}")
-    values: list[Fraction] = [Fraction(1)]
-    for m in range(1, 2 * K + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * values[j]
-        values.append(-acc / (m + 1))
-    return tuple(values)
+    return _bernoulli_table()[0][: 2 * K + 1]
 
 
 def zeta_even(n: int) -> ZetaReference:
@@ -295,19 +300,15 @@ def zeta_even(n: int) -> ZetaReference:
     """
     if n < 1:
         raise UnsupportedRangeError("n = 0 (zeta(0)) is not computed by this artifact")
-    b = bernoulli_numbers(max(n, 5))[2 * n]
+    b = bernoulli_numbers(n)[2 * n]
     rational = Fraction((-1) ** (n + 1), 2 * math.factorial(2 * n)) * b
     value = float(rational * (2 * _PI) ** (2 * n))
     return ZetaReference(complex(value), "bernoulli", 2.0 * math.ulp(abs(value)))
 
 
-@lru_cache(maxsize=4)
 def _bernoulli_coefficients(K: int) -> tuple[float, ...]:
     """B_2k/(2k)! for k = 1..K, each rounded once from the exact table."""
-    table = bernoulli_numbers(K)
-    return tuple(
-        float(table[2 * k] / math.factorial(2 * k)) for k in range(1, K + 1)
-    )
+    return _bernoulli_table()[1][:K]
 
 
 def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:

@@ -191,7 +191,7 @@ def term_bound(kind: TrigKind, p, m: int, n: int, s: float):
     index = np.asarray(p)
     if index.size and not index.min() >= 1:
         raise DomainError(f"index p must be positive, got {index.min()}")
-    if not s > 0.0:
+    if not (np.isrealobj(s) and s > 0.0):
         raise DomainError(f"dominating bound needs real s > 0, got {s}")
     c = c_bound(m, n)
     bound = np.array([_ratio_power(c, int(k), s) for k in index.ravel().tolist()])
@@ -226,7 +226,10 @@ def zeta_trig_instance(kind: TrigKind, m: int, n: int, s: float) -> TanneryInsta
     Indexing is shifted to 0-based: f(0, q) = 0 with a zero bound.
     Per-index limit: (pi/(2q+m)) cot(p pi/(2q+n)) -> 1/p, hence
     f_limit(p) = p^-s (same for csc).  f is ``finite_trig_sum``'s kernel.
+    A complex s raises DomainError.
     """
+    if np.iscomplexobj(s):
+        raise DomainError(f"the zeta instance needs real s, got {s}")
     kind = TrigKind(kind)
     spec = TrigSumSpec(kind, m, n)
     s_float = float(s)
@@ -315,8 +318,10 @@ def verify_condition_i(
     and no larger than the deviation at q_first.  Failures are reported,
     not raised.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if p_max < 1:
+        raise DomainError(f"p_max must be at least 1, got {p_max}")
     qs = _validated_schedule(inst, q_schedule)
     q_first, q_last = qs[0], qs[-1]
     if p_max > inst.alpha(q_first):

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, execution, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trigzeta as tz
-from trigzeta import cli
+from trigzeta import cli, oracle, trig_sums
 from trigzeta.errors import DomainError, UsageError
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -266,10 +267,21 @@ class TestDeterminismAndFiles:
         assert first.stdout == second.stdout
         json.loads(first.stdout)  # well-formed
 
-    def test_out_file_matches_stdout(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        args = ("converge", "--s", "2", "--rep", "E30", "--q0", "16",
-                "--factor", "2", "--steps", "5", "--output", "csv")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("converge", "--s", "2", "--rep", "E30", "--q0", "16",
+             "--factor", "2", "--steps", "5", "--output", "csv"),
+            ("eval", "--s", "2", "--rep", "E28", "--q", "1000"),
+            ("eval", "--s", "2.5+1.3i", "--rep", "E31", "--q", "500", "--output", "csv"),
+            ("eval", "--s", "3", "--rep", "E30", "--q", "200", "--output", "json"),
+            ("oracle", "--s", "2"),
+            ("oracle", "--s", "2", "--output", "csv"),
+            ("oracle", "--s", "2.5+1.3i", "--output", "json"),
+        ],
+    )
+    def test_out_file_matches_stdout(self, tmp_path, args):
+        out = tmp_path / "result.txt"
         piped = run_cli(*args)
         written = run_cli(*args, "--out", str(out))
         assert written.returncode == 0
@@ -314,6 +326,57 @@ def test_reference_object_is_shared():
     assert list(eval_json["reference"].items()) == want
     assert list(converge_json["reference"].items()) == want
     assert list(oracle_json.items())[-4:] == want
+
+
+def _wrong_zeta_even(monkeypatch) -> tuple[str, str]:
+    right = oracle.zeta_even
+
+    def wrong(n):
+        ref = right(n)
+        return dataclasses.replace(ref, value=ref.value + 1e-9) if n == 3 else ref
+
+    monkeypatch.setattr(oracle, "zeta_even", wrong)
+    return "bernoulli n=3:", "zeta_even(3) vs dirichlet gap"
+
+
+def _wrong_cross_route(monkeypatch) -> tuple[str, str]:
+    def routes(s):
+        off = 1e-3 if s == 2.5 + 1.3j else 0.0
+        return [oracle.ZetaReference(1.0 + 0j, "first", 1e-9),
+                oracle.ZetaReference(1.0 + off + 0j, "second", 1e-9)]
+
+    monkeypatch.setattr(oracle, "cross_routes", routes)
+    return "cross s=2.5+1.3i: |first - second|", "s=2.5+1.3i first vs second: 1.000e-03 >"
+
+
+def _wrong_specialization(monkeypatch) -> tuple[str, str]:
+    right, calls = trig_sums.finite_trig_sum, []
+    nth = trig_sums.CATALOG_IDS.index("E14") + 1  # the suite sums in catalog order
+
+    def wrong(spec, q, s):
+        ev = right(spec, q, s)
+        calls.append(spec)
+        return dataclasses.replace(ev, value=2.0 * ev.value) if len(calls) == nth else ev
+
+    monkeypatch.setattr(trig_sums, "finite_trig_sum", wrong)
+    return "specialization E14 ", "E14: rel err"
+
+
+@pytest.mark.parametrize(
+    "suite,wrong",
+    [("bernoulli", _wrong_zeta_even), ("cross", _wrong_cross_route),
+     ("specializations", _wrong_specialization)],
+)
+def test_one_wrong_value_fails_the_suite(monkeypatch, suite, wrong):
+    """A wrong value prints one FAIL line, exits 2 and names that check
+    in the one error line."""
+    line, failure = wrong(monkeypatch)
+    status, out, err = run_main(["verify", "--suite", suite])
+    assert status == 2
+    failed = [row for row in out.splitlines() if not row.endswith(" ok")]
+    assert len(failed) == 1 and failed[0].startswith(line) and failed[0].endswith(" FAIL")
+    assert err.startswith(f"error: verify suite {suite}: 1 check(s) failed: {failure}")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_csv_is_to_csv_of_one_record():

@@ -140,6 +140,13 @@ class TestTermBound:
         with pytest.raises(DomainError):
             tz.term_bound(tz.TrigKind.CSC, 1, 0, 0, -1.0)
 
+    @pytest.mark.parametrize("s", [2 + 1j, complex(2.0), np.complex128(3 - 2j)])
+    def test_complex_s_rejected(self, s):
+        with pytest.raises(DomainError, match="real s"):
+            tz.term_bound(tz.TrigKind.COT, np.array([1.0, 2.0]), 0, 1, s)
+        with pytest.raises(DomainError, match="real s"):
+            tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, s)
+
     @given(
         q=st.integers(1, 500),
         m=st.integers(0, 4),
@@ -196,6 +203,19 @@ class TestConditionI:
         inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
         with pytest.raises(DomainError):
             tz.verify_condition_i(inst, 50, [10, 100], 1e-3)
+
+    @pytest.mark.parametrize("p_max", [-1, 0])
+    def test_p_max_below_one_rejected(self, p_max):
+        # p_max = 0 would check only a zeta instance's placeholder index 0
+        inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
+        with pytest.raises(DomainError, match="p_max"):
+            tz.verify_condition_i(inst, p_max, [10, 100], 1e-3)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3])
+    def test_nonpositive_or_nan_tol_rejected(self, tol):
+        inst = tz.zeta_trig_instance(tz.TrigKind.COT, 0, 1, 2.0)
+        with pytest.raises(DomainError, match="tol"):
+            tz.verify_condition_i(inst, 5, [10, 100], tol)
 
 
 class TestConditionII:
