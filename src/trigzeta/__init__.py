@@ -1,7 +1,9 @@
 """Riemann zeta via finite cotangent/cosecant power sums.
 
-The package has four layers:
+The package's modules, bottom up:
 
+* :mod:`trigzeta.accumulate` -- exact block sums and the one kernel
+  that sums powers of positive bases.
 * :mod:`trigzeta.trig_sums` -- the finite trigonometric power sums
   whose q -> infinity limit is zeta(s) for Re(s) > 1, plus the catalog
   of classical special cases.
@@ -11,6 +13,8 @@ The package has four layers:
   limit-interchange theorem that justifies the representations.
 * :mod:`trigzeta.convergence` -- sweeps, empirical order fitting and
   Richardson extrapolation.
+* :mod:`trigzeta.cli` -- the ``trigzeta`` command (``eval``,
+  ``converge``, ``verify``, ``oracle``).
 """
 
 from .convergence import (
@@ -61,7 +65,6 @@ from .tannery import (
 )
 from .trig_sums import (
     CATALOG_IDS,
-    LimitEstimate,
     SumEvaluation,
     TrigKind,
     TrigSumSpec,
@@ -69,7 +72,6 @@ from .trig_sums import (
     finite_trig_sum,
     term,
     upper_index,
-    zeta_limit_estimate,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +86,6 @@ __all__ = [
     "DomainError",
     "ExchangeResult",
     "InsufficientDataError",
-    "LimitEstimate",
     "OrderFit",
     "QSchedule",
     "SumEvaluation",
@@ -121,6 +122,5 @@ __all__ = [
     "zeta_euler_maclaurin",
     "zeta_euler_product",
     "zeta_even",
-    "zeta_limit_estimate",
     "zeta_trig_instance",
 ]

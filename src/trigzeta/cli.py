@@ -333,8 +333,8 @@ def _suite_tannery(s: complex | None) -> Iterator[_Check]:
         if s_val.imag != 0.0:
             raise UsageError("the tannery suite checks real s only")
         reports = []
-        for kind in (trig_sums.TrigKind.COT, trig_sums.TrigKind.CSC):
-            inst = tannery.zeta_trig_instance(kind, 0, 1, s_val.real)
+        for spec in map(trig_sums.classical_form, ("E28", "E29", "E30", "E31", "E32")):
+            inst = tannery.zeta_trig_instance(spec.kind, spec.m, spec.n, s_val.real)
             # condition (ii) first: it refuses s <= 0 and any s whose
             # dominating bound overflows, before the schedule is sized
             rep_ii = tannery.verify_condition_ii(inst, 1000, 1000)

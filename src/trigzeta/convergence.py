@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -89,16 +90,15 @@ def run_sweep(spec: TrigSumSpec, s: complex, sched: QSchedule) -> ConvergenceSer
     s = complex(s)
     if not s.real > 1.0:
         raise DomainError(f"sweep needs Re(s) > 1, got Re(s)={s.real}")
-    qs = sched.q_values()
-    for q in qs:
-        if not spec.is_admissible(q):
-            raise DomainError(
-                f"schedule point q={q} inadmissible for n={spec.n} "
-                f"(requires q >= {spec.min_q()})"
-            )
+    # the schedule increases, so its first point is its smallest
+    if not spec.is_admissible(sched.q0):
+        raise DomainError(
+            f"schedule point q={sched.q0} inadmissible for n={spec.n} "
+            f"(requires q >= {spec.min_q()})"
+        )
     reference = reference_zeta(s)
     records = []
-    for q in qs:
+    for q in sched.q_values():
         estimate = finite_trig_sum(spec, q, s).value
         records.append(
             SweepRecord(q=q, estimate=estimate, abs_error=abs(estimate - reference.value))
@@ -176,16 +176,19 @@ def to_csv(series: ConvergenceSeries) -> str:
 
 def from_csv(text: str) -> tuple[SweepRecord, ...]:
     """Parse the record rows of a sweep CSV (reference metadata is not
-    part of the CSV format; use JSON for full round-trips)."""
+    part of the CSV format; use JSON for full round-trips).  A bad header
+    or row raises DomainError, naming the row."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "q,re_estimate,im_estimate,abs_error,rel_error":
         raise DomainError("not a sweep CSV: bad or missing header")
     records = []
     for ln in lines[1:]:
-        q, re_e, im_e, abs_e, _rel = ln.split(",")
-        records.append(
-            SweepRecord(q=int(q), estimate=complex(float(re_e), float(im_e)), abs_error=float(abs_e))
-        )
+        try:
+            q, re_e, im_e, abs_e, _rel = ln.split(",")
+            estimate = complex(float(re_e), float(im_e))
+            records.append(SweepRecord(q=int(q), estimate=estimate, abs_error=float(abs_e)))
+        except ValueError as exc:
+            raise DomainError(f"not a sweep CSV: bad row {ln!r} ({exc})") from None
     return tuple(records)
 
 
@@ -210,28 +213,40 @@ def to_json(series: ConvergenceSeries) -> str:
 
 
 def from_json(text: str) -> ConvergenceSeries:
-    """Inverse of to_json; bit-exact for finite values."""
-    payload = json.loads(text)
+    """Inverse of to_json; bit-exact for finite values.  Text that is not
+    a sweep JSON raises DomainError, naming its bad line or key."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"not a sweep JSON: {exc}") from None
+
+    def read(obj: Any, key: str, kind: Callable[[Any], Any] = float) -> Any:
+        try:
+            return kind(obj[key])
+        except (KeyError, TypeError, ValueError):
+            raise DomainError(f"not a sweep JSON: bad or missing key {key!r}") from None
+
+    def optional(x: Any) -> float | None:
+        return None if x is None else float(x)
+
     records = tuple(
         SweepRecord(
-            q=int(r["q"]),
-            estimate=complex(r["re_estimate"], r["im_estimate"]),
-            abs_error=float(r["abs_error"]),
+            q=read(r, "q", operator.index),
+            estimate=complex(read(r, "re_estimate"), read(r, "im_estimate")),
+            abs_error=read(r, "abs_error"),
         )
-        for r in payload["records"]
+        for r in read(payload, "records", list)
     )
-    ref = payload["reference"]
+    ref = read(payload, "reference", dict)
     reference = ZetaReference(
-        value=complex(ref["re_value"], ref["im_value"]),
-        method=ref["method"],
-        error_bound=float(ref["error_bound"]),
+        value=complex(read(ref, "re_value"), read(ref, "im_value")),
+        method=read(ref, "method", str),
+        error_bound=read(ref, "error_bound"),
     )
-    order = payload["fitted_order"]
-    residual = payload["fit_residual"]
     return ConvergenceSeries(
         records=records,
         reference=reference,
-        fitted_order=None if order is None else float(order),
-        fit_residual=None if residual is None else float(residual),
+        fitted_order=read(payload, "fitted_order", optional),
+        fit_residual=read(payload, "fit_residual", optional),
     )
 

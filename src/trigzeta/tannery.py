@@ -21,9 +21,8 @@ Indexing is 0-based; instances whose natural index starts at 1 (the
 zeta sums) simply make f(0, q) = 0 with a zero bound.  Instances take
 and return numpy arrays of indices: a condition makes one call per q,
 and the identity's sides are summed over index 0, then
-``finite_trig_sum``'s blocks of 4096 from its memo of bases, so a zeta
-lhs is that sum to the bit (about 70 ns per index at q = 10240, 2-core
-x86-64 VM).
+``finite_trig_sum``'s blocks of 4096 indices, so a zeta lhs is that sum
+to the bit.
 
 The zeta application: the cot summand is bounded by C^s / p^s where
 
@@ -51,7 +50,7 @@ import numpy as np
 from .accumulate import _block_bounds, block_sum, exact_sum, index_blocks, positive_power
 from .errors import DomainError, UnsupportedRangeError
 from .io_utils import float_text
-from .trig_sums import TrigKind, TrigSumSpec, _bases_at, upper_index
+from .trig_sums import TrigKind, TrigSumSpec, _bases, upper_index
 
 # Dominance is exact in exact arithmetic; allow a hair of float slack.
 _RATIO_SLACK = 1e-12
@@ -70,8 +69,8 @@ class TanneryInstance:
 
     f(p, q) is the double sequence; f_limit(p) the claimed per-index
     limit; bound(p) the q-independent dominating bound M_p, each at a
-    float64 array p of indices; alpha(q) the upper index at q;
-    admissible(q) the q-domain predicate.
+    float64 array p of indices; alpha(q) the upper index at q, for
+    every q >= min_q.
     """
 
     name: str
@@ -79,7 +78,7 @@ class TanneryInstance:
     f_limit: Callable[[np.ndarray], np.ndarray]
     bound: Callable[[np.ndarray], np.ndarray]
     alpha: Callable[[int], int]
-    admissible: Callable[[int], bool]
+    min_q: int
 
 
 #: key=value text of a report field, by its annotated type
@@ -138,21 +137,16 @@ class ConditionReport:
     """Combined report for both hypotheses of the theorem."""
 
     instance: str
-    condition_i: ConditionIReport | None = None
-    condition_ii: ConditionIIReport | None = None
+    condition_i: ConditionIReport
+    condition_ii: ConditionIIReport
 
     @property
     def passed(self) -> bool:
-        parts = [r for r in (self.condition_i, self.condition_ii) if r is not None]
-        return bool(parts) and all(r.passed for r in parts)
+        return self.condition_i.passed and self.condition_ii.passed
 
     def to_kv(self) -> str:
         lines = [f"instance={self.instance}", f"passed={str(self.passed).lower()}"]
-        if self.condition_i is not None:
-            lines.append(self.condition_i.to_kv())
-        if self.condition_ii is not None:
-            lines.append(self.condition_ii.to_kv())
-        return "\n".join(lines)
+        return "\n".join([*lines, self.condition_i.to_kv(), self.condition_ii.to_kv()])
 
 
 class ExchangeResult(NamedTuple):
@@ -184,8 +178,7 @@ def term_bound(kind: TrigKind, p, m: int, n: int, s: float):
     from them in the last bit at about one index in twenty.
 
     Raises:
-        UnsupportedRangeError: when a bound, or for csc its factor
-            (pi/2)^s, overflows binary64.
+        UnsupportedRangeError: when a bound overflows binary64.
     """
     kind = TrigKind(kind)
     index = np.asarray(p)
@@ -194,27 +187,27 @@ def term_bound(kind: TrigKind, p, m: int, n: int, s: float):
     if not (np.isrealobj(s) and s > 0.0):
         raise DomainError(f"dominating bound needs real s > 0, got {s}")
     c = c_bound(m, n)
-    bound = np.array([_ratio_power(c, int(k), s) for k in index.ravel().tolist()])
-    if kind is TrigKind.CSC:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound *= _ratio_power(math.pi / 2.0, 1, s)  # (pi/2)^s, or inf
+    factor = math.pi / 2.0 if kind is TrigKind.CSC else 1.0
+    bound = np.array([_ratio_power(factor, c, int(k), s) for k in index.ravel().tolist()])
     if not np.isfinite(bound).all():
         at = int(index.ravel()[np.argmin(np.isfinite(bound))])
         raise UnsupportedRangeError(f"the dominating bound at p={at}, s={s} overflows binary64")
     return float(bound[0]) if index.ndim == 0 else bound.reshape(index.shape)
 
 
-def _ratio_power(c: float, p: int, s: float) -> float:
-    """(c/p)^s as c^s / p^s, or inf where that overflows binary64."""
+def _ratio_power(f: float, c: float, p: int, s: float) -> float:
+    """(f c/p)^s as c^s / p^s * f^s, or inf where that overflows binary64."""
     try:
-        return c**s / p**s
+        return c**s / p**s * f**s
     except OverflowError:
-        # p**s overflows, (C/p)^s need not.  The power would multiply
-        # the rounding of r = C/p by s, so r^s is scaled by (C/(p r))^s,
-        # taken from the exact rational C/(p r) - 1.
-        r = c / p
+        # p**s or f**s overflows, (f C/p)^s need not, and f^s applied after
+        # (C/p)^s would come too late where that underflows.  The power would
+        # multiply the rounding of r = f C/p by s, so r^s is scaled by
+        # (f C/(p r))^s, taken from the exact rational f C/(p r) - 1.
+        r = f * c / p
+        exact = Fraction(f) * Fraction(c) / (p * Fraction(r))
         try:
-            return r**s * math.exp(s * math.log1p(float(Fraction(c) / (p * Fraction(r)) - 1)))
+            return r**s * math.exp(s * math.log1p(float(exact - 1)))
         except OverflowError:
             return math.inf
 
@@ -239,7 +232,7 @@ def zeta_trig_instance(kind: TrigKind, m: int, n: int, s: float) -> TanneryInsta
         # the harness calls f only for p <= alpha(q) at admissible q, so
         # the unchecked kernel suffices; its base at p = 0 is infinite
         with np.errstate(divide="ignore"):
-            terms = positive_power(_bases_at(spec, q, p), s_complex)
+            terms = positive_power(_bases(spec, q, p), s_complex)
         return np.where(p > 0, terms, 0.0)
 
     def f_limit(p: np.ndarray) -> np.ndarray:
@@ -257,7 +250,7 @@ def zeta_trig_instance(kind: TrigKind, m: int, n: int, s: float) -> TanneryInsta
         f_limit=f_limit,
         bound=bound,
         alpha=lambda q: upper_index(q, n),
-        admissible=spec.is_admissible,
+        min_q=spec.min_q(),
     )
 
 
@@ -290,7 +283,7 @@ def exp_instance(x: float) -> TanneryInstance:
         f_limit=lambda k: running_product(k, lambda j: x / j),
         bound=lambda k: running_product(k, lambda j: abs(x) / j),
         alpha=lambda n: n,
-        admissible=lambda n: n >= 1,
+        min_q=1,
     )
 
 
@@ -300,9 +293,8 @@ def _validated_schedule(inst: TanneryInstance, q_schedule: Iterable[int]) -> lis
         raise DomainError("empty q schedule")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise DomainError("q schedule must be strictly increasing")
-    for q in qs:
-        if not inst.admissible(q):
-            raise DomainError(f"q={q} not admissible for instance {inst.name}")
+    if qs[0] < inst.min_q:
+        raise DomainError(f"q={qs[0]} not admissible for instance {inst.name}")
     return qs
 
 
@@ -353,13 +345,8 @@ def verify_condition_i(
 
 def _q_grid(inst: TanneryInstance, q_max: int) -> list[int]:
     """Geometric q grid: smallest admissible q, doublings, and q_max."""
-    q0 = 1
-    while q0 <= q_max and not inst.admissible(q0):
-        q0 += 1
-    if q0 > q_max:
-        raise DomainError(f"no admissible q <= {q_max} for instance {inst.name}")
     grid = []
-    q = q0
+    q = inst.min_q
     while q < q_max:
         grid.append(q)
         q *= 2
@@ -392,7 +379,7 @@ def verify_condition_ii(
     """
     if p_max < 8:
         raise DomainError(f"p_max must be at least 8 to assess the bound series, got {p_max}")
-    if not inst.admissible(q_max):
+    if q_max < inst.min_q:
         raise DomainError(f"q_max={q_max} not admissible for instance {inst.name}")
 
     p = np.arange(p_max + 1, dtype=np.float64)
@@ -462,7 +449,7 @@ def tannery_exchange(
     q_last = qs[-1]
 
     # index 0 alone, then finite_trig_sum's blocks from 1: a zeta instance's
-    # terms come from its memo, and its lhs is that sum to the bit
+    # lhs is that sum to the bit
     lhs, _ = exact_sum(inst.f(p, q_last) for p in _index_runs(inst.alpha(q_last)))
     rhs, _ = exact_sum(inst.f_limit(p) for p in _index_runs(series_terms))
     return ExchangeResult(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))

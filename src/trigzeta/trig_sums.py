@@ -23,7 +23,8 @@ bases to :func:`trigzeta.accumulate.power_sum`, which takes their
 powers and sums them exactly, with the sum of b^Re(s) as the sum of
 magnitudes (for complex s, |b^s| in exact arithmetic); ``term`` is the
 same power (:func:`trigzeta.accumulate.positive_power`) on a one-index
-block, and the Tannery harness runs it on the sum's blocks.
+block, and the Tannery harness takes the power of bases it computes
+afresh, on the sum's blocks of indices, without the memo.
 
 The bases do not depend on s, so each block of bases is computed once
 per (spec, q) and kept in a memo of at most _MEMO_BYTES = 1 MiB
@@ -41,7 +42,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class TrigSumSpec:
             raise DomainError(f"shifts must be nonnegative, got m={self.m}, n={self.n}")
 
     def min_q(self) -> int:
-        """Smallest admissible q: 2 when n = 0, else 1."""
-        return 2 if self.n == 0 else 1
+        """Smallest admissible q (see ``upper_index``)."""
+        return _min_q(self.n)
 
     def is_admissible(self, q: int) -> bool:
         return q >= self.min_q()
@@ -97,18 +97,9 @@ class SumEvaluation:
     rounding_bound: float
 
 
-@dataclass(frozen=True, slots=True)
-class LimitEstimate:
-    """Packaged q -> infinity limit: last evaluation plus convergence data.
-
-    ``error_estimate`` is the magnitude of the difference between the
-    last two schedule evaluations.
-    """
-
-    value: complex
-    q_final: int
-    error_estimate: float
-    converged: bool
+def _min_q(n: int) -> int:
+    """Smallest admissible q for the angle shift n: 2 when n = 0, else 1."""
+    return 2 if n == 0 else 1
 
 
 def upper_index(q: int, n: int) -> int:
@@ -122,7 +113,7 @@ def upper_index(q: int, n: int) -> int:
     """
     if n < 0:
         raise DomainError(f"angle shift n must be nonnegative, got {n}")
-    if q < 1 or (n == 0 and q < 2):
+    if q < _min_q(n):
         need = "q >= 2 when n = 0" if n == 0 else "q >= 1"
         raise DomainError(f"inadmissible pair (q={q}, n={n}): requires {need}")
     return (2 * q + n - 1) // 2
@@ -166,16 +157,6 @@ def _block_bases(spec: TrigSumSpec, q: int, lo: int, hi: int) -> np.ndarray:
     base = _bases(spec, q, np.arange(lo, hi, dtype=np.float64))
     base.flags.writeable = False
     return base
-
-
-def _bases_at(spec: TrigSumSpec, q: int, p: np.ndarray) -> np.ndarray:
-    """The bases at the float64 indices p: the memo's block when p is one
-    of ``finite_trig_sum``'s, else afresh, so few indices evict no block."""
-    lo = int(p[0]) if p.size else 0
-    hi = min(lo + _CHUNK, upper_index(q, spec.n) + 1)
-    if lo % _CHUNK == 1 and np.array_equal(p, np.arange(lo, hi, dtype=np.float64)):
-        return _block_bases(spec, q, lo, hi)
-    return _bases(spec, q, p)
 
 
 def finite_trig_sum(spec: TrigSumSpec, q: int, s: complex) -> SumEvaluation:
@@ -251,55 +232,3 @@ def classical_form(catalog_id: str) -> TrigSumSpec:
             f"unknown catalog id {catalog_id!r}; known: {', '.join(CATALOG_IDS)}"
         ) from None
 
-
-def zeta_limit_estimate(
-    spec: TrigSumSpec,
-    s: complex,
-    schedule: Iterable[int],
-    tol: float,
-) -> LimitEstimate:
-    """Drive the finite sum along a q-schedule until it settles.
-
-    Convergence is declared when two consecutive schedule evaluations
-    differ by less than ``tol`` in magnitude; the estimate is then the
-    later of the two.  An exhausted schedule returns the best estimate
-    with ``converged=False`` rather than raising (a single-point
-    schedule has no consecutive pair, so its error estimate is inf).
-
-    Raises:
-        DomainError: if Re(s) <= 1 (the limit's dominating series
-            sum 1/p^s would diverge), tol <= 0, or the schedule is not a
-            strictly increasing sequence of admissible q.
-    """
-    s = complex(s)
-    if not s.real > 1.0:
-        raise DomainError(
-            f"Re(s) must exceed 1 for the zeta limit, got Re(s)={s.real}"
-        )
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    qs: Sequence[int] = list(schedule)
-    if not qs:
-        raise DomainError("empty q-schedule")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise DomainError("q-schedule must be strictly increasing")
-    for q in qs:
-        if not spec.is_admissible(q):
-            raise DomainError(
-                f"schedule point q={q} inadmissible for n={spec.n} "
-                f"(requires q >= {spec.min_q()})"
-            )
-
-    prev: complex | None = None
-    value = complex("nan")
-    q_final = qs[0]
-    diff = math.inf
-    for q in qs:
-        value = finite_trig_sum(spec, q, s).value
-        q_final = q
-        if prev is not None:
-            diff = abs(value - prev)
-            if diff < tol:
-                return LimitEstimate(value, q_final, diff, True)
-        prev = value
-    return LimitEstimate(value, q_final, diff, False)

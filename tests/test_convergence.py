@@ -1,6 +1,8 @@
 """Tests for sweeps, order fitting, Richardson extrapolation, serialization."""
 
+import json
 import math
+import re
 
 import pytest
 
@@ -156,6 +158,39 @@ class TestSerialization:
     def test_bad_csv_header(self):
         with pytest.raises(DomainError):
             convergence.from_csv("nope\n1,2,3,4,5\n")
+
+    @pytest.mark.parametrize(
+        "row",
+        ["16,1.5,0.0,0.25", "16,1.5,0.0,0.25,0.1,7", "1.5,1.5,0.0,0.25,0.1", "16,x,0.0,0.25,0.1"],
+    )
+    def test_bad_csv_row_names_the_row(self, row):
+        text = convergence.to_csv(synthetic_series(1.0, steps=2)) + row + "\n"
+        with pytest.raises(DomainError, match=re.escape(repr(row))):
+            convergence.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda p: "", "line 1"),
+            (lambda p: "nope", "line 1"),
+            (lambda p: '{"records": [}', "line 1"),
+            (lambda p: {}, "'records'"),
+            (lambda p: [1], "'records'"),
+            (lambda p: {**p, "records": 5}, "'records'"),
+            (lambda p: {**p, "records": [{**p["records"][0], "q": 1.5}]}, "'q'"),
+            (lambda p: {**p, "records": ["q"]}, "'q'"),
+            (lambda p: {**p, "records": [{**p["records"][0], "abs_error": None}]}, "'abs_error'"),
+            (lambda p: {**p, "reference": {**p["reference"], "re_value": "x"}}, "'re_value'"),
+            (lambda p: {k: v for k, v in p.items() if k != "reference"}, "'reference'"),
+            (lambda p: {**p, "fit_residual": [1.0]}, "'fit_residual'"),
+        ],
+    )
+    def test_bad_json_names_the_line_or_key(self, edit, named):
+        # an edit returns the payload to write, or text that is not JSON
+        edited = edit(json.loads(convergence.to_json(synthetic_series(1.0, steps=2))))
+        text = edited if isinstance(edited, str) else json.dumps(edited)
+        with pytest.raises(DomainError, match=named):
+            convergence.from_json(text)
 
     def test_seventeen_digit_floats_round_trip(self):
         x = 1.6449340668482264

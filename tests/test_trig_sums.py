@@ -211,6 +211,25 @@ class TestFiniteTrigSum:
                     assert 0.0 < ev.rounding_bound < 1e-12 * abs(ev.value)
                     assert gap <= ev.rounding_bound, (cid, q, s)
 
+    @given(
+        cid=st.sampled_from(["E28", "E29", "E30", "E31", "E32"]),
+        q=st.integers(1, 300),
+        sigma=st.one_of(
+            st.floats(1.0, 1.001, exclude_min=True), st.floats(1.0, 60.0, exclude_min=True)
+        ),
+        t=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_rounding_bound_is_a_true_bound(self, cid, q, sigma, t):
+        # the five shapes over the limits' domain, against the 50-digit
+        # transcriptions; a false bound is mended, the strategy kept
+        spec = tz.classical_form(cid)
+        q = max(q, spec.min_q())
+        s = complex(sigma, t)
+        ev = tz.finite_trig_sum(spec, q, s)
+        gap = abs(ev.value - direct_transcription(cid, q, s))
+        assert gap <= ev.rounding_bound, (cid, q, s)
+
     def test_repeat_calls_identical_bits(self):
         # numpy's vectorised pow/exp/log differ from libm; what matters
         # is that the same call always gives the same bits
@@ -380,52 +399,11 @@ class TestClassicalForm:
             assert ulps_between(mine, ref) <= 4.0
 
 
-class TestZetaLimitEstimate:
-    SCHEDULE = [10 * 2**k for k in range(11)]  # up to 10240
-
-    def test_cot_reaches_zeta_two(self):
-        est = tz.zeta_limit_estimate(COT01, 2, self.SCHEDULE, 1e-3)
-        assert est.converged
-        assert est.error_estimate < 1e-3
-        assert abs(est.value - PI**2 / 6) < 1e-3
-
-    def test_csc_reaches_zeta_four(self):
-        est = tz.zeta_limit_estimate(CSC00, 4, self.SCHEDULE, 1e-3)
-        assert est.converged
-        assert abs(est.value - PI**4 / 90) < 1e-3
-
-    def test_exponent_at_pole_rejected(self):
-        with pytest.raises(DomainError):
-            tz.zeta_limit_estimate(COT01, 1, self.SCHEDULE, 1e-3)
-
-    def test_complex_exponent_left_of_line_rejected(self):
-        with pytest.raises(DomainError):
-            tz.zeta_limit_estimate(COT01, 0.5 + 2j, self.SCHEDULE, 1e-3)
-
-    def test_exhausted_schedule_reports_not_converged(self):
-        est = tz.zeta_limit_estimate(COT01, 2, [10, 20, 40], 1e-12)
-        assert not est.converged
-        assert est.q_final == 40
-        assert est.error_estimate > 1e-12
-
-    def test_schedule_validation(self):
-        with pytest.raises(DomainError):
-            tz.zeta_limit_estimate(COT01, 2, [10, 10, 20], 1e-3)
-        with pytest.raises(DomainError):
-            tz.zeta_limit_estimate(COT01, 2, [], 1e-3)
-        with pytest.raises(DomainError):
-            tz.zeta_limit_estimate(COT00, 2, [1, 2, 4], 1e-3)  # q=1 bad for n=0
-
-    def test_negative_shifts_rejected(self):
-        with pytest.raises(DomainError):
-            tz.TrigSumSpec(tz.TrigKind.COT, -1, 0)
-        with pytest.raises(DomainError):
-            tz.TrigSumSpec(tz.TrigKind.COT, 0, -2)
-
-    def test_single_point_schedule(self):
-        est = tz.zeta_limit_estimate(COT01, 2, [100], 1e-3)
-        assert not est.converged
-        assert est.error_estimate == math.inf
+def test_negative_shifts_rejected():
+    with pytest.raises(DomainError):
+        tz.TrigSumSpec(tz.TrigKind.COT, -1, 0)
+    with pytest.raises(DomainError):
+        tz.TrigSumSpec(tz.TrigKind.COT, 0, -2)
 
 
 def test_concurrent_evaluation_matches_serial():
