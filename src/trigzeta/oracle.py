@@ -27,10 +27,13 @@ For 0 < Re(s) <= 1, where the paper's limits do not hold, it reports
 ``zeta_borwein``; both cost O(|Im s|) terms, not 10^6.
 
 Every ``error_bound`` is a truncation bound (rigorous where the
-docstring says so, heuristic otherwise) plus a small binary64 rounding
-floor proportional to the sum of absolute contributions; without the
-floor, bounds at large Re(s) would claim accuracy far beyond double
-precision.
+docstring says so) plus one rounding floor, c eps times the sum of
+absolute contributions, with c following ``positive_power``'s branch.
+Real s raises exact integer bases by ``np.power``, each power within a
+few ulps: c = 4.  Complex s takes exp(-s ln n) from a rounded ln n,
+whose error the exponent multiplies by |s| (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002): c = 4|s|(1 + ln n) + 4, with
+n the largest index whose logarithm enters.
 
 All operations are pure, and every cached value is immutable (tuples,
 read-only arrays), so concurrent callers may share them.
@@ -71,12 +74,6 @@ _LN2 = math.log(2.0)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _rounding_floor(scale: float) -> float:
-    """Heuristic binary64 rounding floor for a sum whose absolute
-    contributions total ``scale``."""
-    return 4.0 * _EPS * scale
-
-
 @dataclass(frozen=True, slots=True)
 class ZetaReference:
     """A reference value with its method tag and reported error bound."""
@@ -93,6 +90,22 @@ class ZetaReference:
             "method": self.method,
             "error_bound": self.error_bound,
         }
+
+
+def _reference(
+    s: complex, value: complex, method: str, truncation: float, terms: int, scale: float
+) -> ZetaReference:
+    """What every route returns: a real value at real s, with truncation
+    plus the module docstring's floor for largest index ``terms``."""
+    if s.imag == 0.0:
+        return ZetaReference(complex(value.real), method, truncation + 4.0 * _EPS * scale)
+    floor = (4.0 * abs(s) * (1.0 + math.log(terms)) + 4.0) * _EPS * scale
+    return ZetaReference(complex(value), method, truncation + floor)
+
+
+def _dirichlet_tail(sigma: float, N: int) -> float:
+    """N^(1-sigma)/(sigma-1) >= sum_{n>N} n^-sigma, for sigma > 1."""
+    return N ** (1.0 - sigma) / (sigma - 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -125,9 +138,7 @@ def zeta_dirichlet(s: complex, N: int) -> ZetaReference:
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
     value, mag = _dirichlet_sum(s, N)
-    sigma = s.real
-    tail = N ** (1.0 - sigma) / (sigma - 1.0)
-    return ZetaReference(value, "dirichlet", tail + _rounding_floor(mag))
+    return _reference(s, value, "dirichlet", _dirichlet_tail(s.real, N), N, mag)
 
 
 def _eta_denominator(s: complex) -> complex:
@@ -174,13 +185,9 @@ def zeta_eta(s: complex, N: int) -> ZetaReference:
         return np.where(k % 2 == 1, t, -t)
 
     alt, mag = exact_sum(alternating(k) for k in index_blocks(1, N + 1))
-    value = pref * alt
-    sigma = s.real
-    pairing = 1.0 if s.imag == 0.0 else 1.0 + abs(s) / sigma
-    truncation = abs(pref) * pairing * (N + 1) ** (-sigma)
-    bound = truncation + _rounding_floor(abs(pref) * mag)
-    value_out = value.real if s.imag == 0.0 else value
-    return ZetaReference(complex(value_out), "eta", bound)
+    pairing = 1.0 if s.imag == 0.0 else 1.0 + abs(s) / s.real
+    truncation = abs(pref) * pairing * (N + 1) ** (-s.real)
+    return _reference(s, pref * alt, "eta", truncation, N, abs(pref) * mag)
 
 
 def _em_integral(s: complex, n: int, X: int) -> tuple[complex, float]:
@@ -208,7 +215,9 @@ def zeta_euler_maclaurin(s: complex, n: int, X: int) -> ZetaReference:
     and -s times the fractional-part integral truncated at X.
 
     Valid for Re(s) > 0, s != 1.  The tail bound |s| X^(-Re s)/Re(s)
-    follows from |x - floor(x)| <= 1 and is rigorous.
+    follows from |x - floor(x)| <= 1 and is rigorous.  In exact
+    arithmetic the value is sum_{k<=X} k^-s + X^(1-s)/(s-1) whatever n
+    is, so two cutoffs of this route are two truncations of one series.
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -223,11 +232,8 @@ def zeta_euler_maclaurin(s: complex, n: int, X: int) -> ZetaReference:
     pole_term = n ** (1.0 - s) / (s - 1.0)
     integral, integral_mag = _em_integral(s, n, X)
     value = direct + pole_term - s * integral
-    sigma = s.real
-    tail = abs(s) * X ** (-sigma) / sigma
     scale = direct_mag + abs(pole_term) + abs(s) * integral_mag
-    value_out = value.real if s.imag == 0.0 else value
-    return ZetaReference(complex(value_out), "euler_maclaurin", tail + _rounding_floor(scale))
+    return _reference(s, value, "euler_maclaurin", abs(s) * X ** -s.real / s.real, X, scale)
 
 
 def zeta_euler_product(s: complex, limit: int) -> ZetaReference:
@@ -235,9 +241,9 @@ def zeta_euler_product(s: complex, limit: int) -> ZetaReference:
 
     Accumulated in the log domain, exp(-sum log(1 - p^-s)) with the
     principal logarithm; |p^-s| < 1 keeps every factor off the branch
-    cut.  The reported bound is the heuristic tail sum_{k>limit} k^(-Re s)
-    (it is in fact a true bound: the partial product equals the sum of
-    n^-s over limit-smooth n, and every omitted integer exceeds limit).
+    cut.  The tail bound is Dirichlet's, and it is true: the partial
+    product is the sum of n^-s over limit-smooth n, and every omitted
+    integer exceeds limit.
 
     Raises:
         DomainError: for Re(s) <= 1, or limit < 2 (no prime).
@@ -248,11 +254,8 @@ def zeta_euler_product(s: complex, limit: int) -> ZetaReference:
     p = np.asarray(sieve_primes(limit), dtype=np.float64)
     log_total, log_mag = exact_sum([np.log1p(-positive_power(p, -s))])
     value = cmath.exp(-log_total)
-    sigma = s.real
-    tail = limit ** (1.0 - sigma) / (sigma - 1.0)
     scale = abs(value) * (1.0 + log_mag)
-    value_out = value.real if s.imag == 0.0 else value
-    return ZetaReference(complex(value_out), "euler_product", tail + _rounding_floor(scale))
+    return _reference(s, value, "euler_product", _dirichlet_tail(s.real, limit), limit, scale)
 
 
 _BERNOULLI_MAX_K = 60
@@ -306,11 +309,6 @@ def zeta_even(n: int) -> ZetaReference:
     return ZetaReference(complex(value), "bernoulli", 2.0 * math.ulp(abs(value)))
 
 
-def _bernoulli_coefficients(K: int) -> tuple[float, ...]:
-    """B_2k/(2k)! for k = 1..K, each rounded once from the exact table."""
-    return _bernoulli_table()[1][:K]
-
-
 def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
     """Euler-Maclaurin summation with K Bernoulli corrections,
 
@@ -321,9 +319,7 @@ def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
     Valid for Re(s) > 0, s != 1, N >= 1 and 1 <= K <= 59 (the bound
     needs B_{2K+2}, and the exact table stops at B_120).  Backlund's
     bound |R_K| <= |s+2K+1|/(Re s+2K+1) |T_{K+1}| (Edwards, Riemann's
-    Zeta Function, 6.4) is rigorous.  The rounding floor is
-    (4|s|(1 + ln N) + 4) eps times the sum of |contribution|: each
-    power's phase t ln n is formed from a rounded logarithm.
+    Zeta Function, 6.4) is rigorous.
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -346,7 +342,7 @@ def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
     # carried as a ratio so that no factor overflows at large |t|
     corrections = []
     rising = s / N
-    for k, b in enumerate(_bernoulli_coefficients(K + 1), start=1):
+    for k, b in enumerate(_bernoulli_table()[1][: K + 1], start=1):
         if k > 1:
             rising *= (s + (2 * k - 3)) * (s + (2 * k - 2)) / (N * N)
         corrections.append(b * rising * n_pow)
@@ -354,9 +350,7 @@ def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
     value = partial + pole + half + sum(corrections)
     remainder = abs(s + (2 * K + 1)) / (s.real + 2 * K + 1) * abs(last)
     scale = partial_mag + abs(pole) + abs(half) + sum(abs(c) for c in corrections)
-    floor = (4.0 * abs(s) * (1.0 + math.log(N)) + 4.0) * _EPS * scale
-    value_out = value.real if s.imag == 0.0 else value
-    return ZetaReference(complex(value_out), "em_bernoulli", remainder + floor)
+    return _reference(s, value, "em_bernoulli", remainder, N, scale)
 
 
 @lru_cache(maxsize=16)
@@ -391,7 +385,7 @@ def _borwein_log_scale(s: complex) -> float:
     shift = max(0, math.ceil(20.0 - s.real))
     z = s + shift
     series = 0j  # B_2k/(2k (2k-1)) = B_2k/(2k)! (2k-2)!, by Horner in 1/z^2
-    for k, b in reversed(list(enumerate(_bernoulli_coefficients(8), start=1))):
+    for k, b in reversed(list(enumerate(_bernoulli_table()[1][:8], start=1))):
         series = series / (z * z) + b * math.factorial(2 * k - 2)
     ln_z = cmath.log(z)
     log_abs_gamma = (z.real - 0.5) * ln_z.real - z.imag * ln_z.imag - z.real + _HALF_LN_2PI
@@ -410,8 +404,10 @@ def zeta_borwein(s: complex, n: int) -> ZetaReference:
     Valid for Re(s) > 0 away from the pole set 2^(1-s) = 1.  The bound
     |gamma_n(s)| <= Gamma(sigma)/(d_n |Gamma(s)| |1 - 2^(1-s)|) is
     rigorous; d_n > (3 + sqrt 8)^n / 2, so n grows about linearly in
-    |Im s|.  Rounding floor as in ``zeta_em_bernoulli``, with n in place
-    of N, over |1 - 2^(1-s)| times the sum of |term|.
+    |Im s|.
+
+    Raises:
+        UnsupportedRangeError: when that bound overflows (large |Im s|).
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -420,12 +416,14 @@ def zeta_borwein(s: complex, n: int) -> ZetaReference:
         raise DomainError(f"n must be positive, got {n}")
     w = _eta_denominator(s)
     weights, d_n = _borwein_weights(n)
+    try:
+        truncation = math.exp(_borwein_log_scale(s) - math.log(d_n))
+    except OverflowError:
+        raise UnsupportedRangeError(
+            f"no bound for Borwein's series at s={s} with n={n}: its truncation bound overflows"
+        ) from None
     total, mag = exact_sum([weights * positive_power(np.arange(1.0, n + 1.0), -s)])
-    value = total / w
-    truncation = math.exp(_borwein_log_scale(s) - math.log(d_n))
-    floor = (4.0 * abs(s) * (1.0 + math.log(n)) + 4.0) * _EPS * mag / abs(w)
-    value_out = value.real if s.imag == 0.0 else value
-    return ZetaReference(complex(value_out), "borwein", truncation + floor)
+    return _reference(s, total / w, "borwein", truncation, n, mag / abs(w))
 
 
 def _choose_em_cutoff(s: complex) -> int:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,29 @@ class TestExecution:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_bound_covers_the_error_at_large_t(self):
+        # a flat 4 eps rounding floor reported 9.0e-11 here, against an
+        # error of 1.0e-8; the value is mpmath's zeta(3+1e9i) at 40 digits
+        exact = 1.1041450455338644 - 0.11847658595449222j
+        status, out, _ = run_main(["oracle", "--s", "3+1e9i", "--output", "json"])
+        assert status == 0
+        payload = json.loads(out)
+        value = complex(payload["re_value"], payload["im_value"])
+        assert abs(value - exact) <= payload["error_bound"]
+
+    def test_vacuous_floor_refused(self):
+        # at 3+1e13i the floors alone put the cross-check allowance above
+        # |zeta|; each refusal sums 9e6 terms first, so the two run at once
+        argvs = [("oracle", "--s", "3+1e13i"), ("eval", "--s", "3+1e13i", "--rep", "E28", "--q", "10")]
+        with ThreadPoolExecutor(len(argvs)) as pool:
+            results = list(pool.map(lambda argv: run_cli(*argv), argvs))
+        for result in results:
+            assert result.returncode == 1
+            assert result.stdout == ""
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "allowance" in lines[0]
 
     def test_import_leaves_mpmath_out(self):
         result = run_python("-c", "import sys, trigzeta; print('mpmath' in sys.modules)")

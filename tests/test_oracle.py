@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import trigzeta as tz
@@ -339,6 +341,14 @@ class TestBorwein:
             exact = float(mpmath.loggamma(sigma) - mpmath.loggamma(z).real - mpmath.log(eta))
         assert 0.0 < _borwein_log_scale(s) - exact <= 2e-12 * (1.0 + abs(s))
 
+    @pytest.mark.parametrize(
+        "s,n", [(0.5 + 1000j, 50), (0.5 + 3000j, 50), (2 + 5000j, 400), (0.3 - 9000j, 50), (30 + 2000j, 10)]
+    )
+    def test_overflowing_bound_refused(self, s, n):
+        # Gamma(sigma)/|Gamma(s)| grows like e^(pi |t|/2), far faster than d_n
+        with pytest.raises(UnsupportedRangeError, match=f"n={n}"):
+            tz.zeta_borwein(s, n)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             tz.zeta_borwein(complex(1.0, 2 * PI / math.log(2.0)), 30)  # 2^(1-s) = 1
@@ -439,3 +449,66 @@ def test_oracle_agreement(s):
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound, (
                 f"{a.method} vs {b.method} at s={s}"
             )
+
+
+# sigma over (0, 60], near 1 from both sides, |t| up to 10^4, and the band
+# where the rounding floor rather than truncation decides the bound
+_S = st.one_of(
+    st.builds(
+        complex,
+        st.one_of(st.floats(0.0, 60.0, exclude_min=True), st.floats(0.999, 1.001).filter(lambda x: x != 1.0)),
+        st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    ),
+    st.builds(complex, st.floats(2.0, 15.0), st.one_of(st.floats(500.0, 1e4), st.floats(-1e4, -500.0))),
+)
+_SIZES = st.fixed_dictionaries({
+    "dirichlet": st.integers(1, 300),
+    "eta": st.integers(1, 300),
+    "euler_maclaurin": st.tuples(st.integers(1, 64), st.integers(0, 300)),
+    "euler_product": st.integers(2, 3000),
+    "em_bernoulli": st.tuples(st.integers(1, 300), st.integers(1, 20)),
+    "borwein": st.one_of(st.integers(1, 64), st.integers(65, 4096)),
+})
+_ROUTES = {
+    "dirichlet": tz.zeta_dirichlet,
+    "eta": tz.zeta_eta,
+    "euler_maclaurin": lambda s, size: tz.zeta_euler_maclaurin(s, size[0], size[0] + size[1]),
+    "euler_product": tz.zeta_euler_product,
+    "em_bernoulli": lambda s, size: tz.zeta_em_bernoulli(s, *size),
+    "borwein": tz.zeta_borwein,
+}
+# the sizes of the two examples at which a flat 4 eps floor was false
+_AT_6_10000I = {
+    "dirichlet": 1000, "eta": 1000, "euler_maclaurin": (64, 1000), "euler_product": 10**5,
+    "em_bernoulli": (1000, 20), "borwein": 64,
+}
+
+
+@given(s=_S, sizes=_SIZES)
+@example(s=6 + 1e4j, sizes=_AT_6_10000I)
+@example(s=12 + 500j, sizes={**_AT_6_10000I, "euler_product": 3000})
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_every_route_bound_is_true(s, sizes):
+    # each route at small sizes, where truncation or rounding may decide;
+    # a route may refuse (Borwein's bound overflows at large |t| and small
+    # n; eta and Borwein at the prefactor's pole set), never misreport
+    exact = mp_zeta(s, 35)
+    for name, size in sizes.items():
+        if name in ("dirichlet", "euler_product") and not s.real > 1.0:
+            continue
+        try:
+            ref = _ROUTES[name](s, size)
+        except (DomainError, UnsupportedRangeError):
+            continue
+        assert ref.method == name
+        assert gap_to(ref.value, exact) <= ref.error_bound, (name, s, size)
+
+
+@given(s=st.builds(complex, st.floats(1.2, 60.0), st.one_of(st.just(0.0), st.floats(-1e4, 1e4))))
+@example(s=3 + 1000j)
+@example(s=12 + 1e5j)
+@example(s=6 + 1e5j)
+@settings(derandomize=True, max_examples=5, deadline=None)
+def test_reference_bound_is_true(s):
+    ref = tz.reference_zeta(s)
+    assert gap_to(ref.value, mp_zeta(s, 35)) <= ref.error_bound
