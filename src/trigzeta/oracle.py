@@ -20,11 +20,18 @@ the power and summation primitives of :mod:`trigzeta.accumulate`:
   even integer arguments
 
 ``reference_zeta`` reports one route and cross-checks it against a
-second.  For Re(s) > 1 both are floor-function Euler-Maclaurin routes
-(cutoff chosen for a 1e-10 bound, and the whole Dirichlet sum to 10^6).
-For 0 < Re(s) <= 1, where the paper's limits do not hold, it reports
-``zeta_em_bernoulli`` at N = 20 + ceil(|Im s|) and checks it against
-``zeta_borwein``; both cost O(|Im s|) terms, not 10^6.
+second.  For Re(s) > 1 the check is the floor-function Euler-Maclaurin
+route with the whole Dirichlet sum to 10^6, and the route it checks is
+chosen by the cutoff X that a 1e-10 tail bound needs.  Below the cap
+of 8e6 it is the floor-function route to X.  At the cap (every real
+s <= 1.455, and larger Re(s) at large |Im s|) that route could not reach
+1e-10, so ``zeta_em_bernoulli`` at N = 20 + ceil(|Im s|) is taken
+instead, as long as N stays within the cap.  At s = 1.05 that makes a
+reference about 10 ms instead of 0.42 s (one call on a 2-core x86-64
+VM, after the process's first), with error bound 1.8e-14 instead of
+5.6e-8.  For 0 < Re(s) <= 1, where the paper's limits do not
+hold, it reports ``zeta_em_bernoulli`` at the same N and checks it
+against ``zeta_borwein``; both cost O(|Im s|) terms, not 10^6.
 
 Every ``error_bound`` is a truncation bound (rigorous where the
 docstring says so) plus one rounding floor, c eps times the sum of
@@ -57,13 +64,15 @@ _EPS = sys.float_info.epsilon
 
 # Reference dispatch targets for Re(s) > 1: truncation bound aimed for by
 # reference_zeta, and the largest Euler-Maclaurin integral cutoff it will
-# pay for.
+# pay for.  Where the cutoff reaches the cap, the Bernoulli route below is
+# taken instead, with N at most the cap.
 _REFERENCE_TARGET = 1e-10
 _X_CAP = 8_000_000
 
-# Reference dispatch for 0 < Re(s) <= 1.  With N = 20 + ceil(|t|) the
-# k-th Bernoulli correction is about |s + 2k|^2/(2 pi N)^2 times the one
-# before, so twenty leave Backlund's remainder far below rounding.
+# Reference dispatch for 0 < Re(s) <= 1 and for the capped s.  With
+# N = 20 + ceil(|t|) the k-th Bernoulli correction is about
+# |s + 2k|^2/(2 pi N)^2 times the one before, so twenty leave Backlund's
+# remainder far below rounding.
 # Borwein's n is the smallest whose truncation bound is below
 # _BORWEIN_TARGET; it grows by about 0.89 per unit of |t|, so the cap
 # reaches |t| of about 4500.
@@ -92,15 +101,21 @@ class ZetaReference:
         }
 
 
+def _floor_factor(s: complex, terms: int) -> float:
+    """The module docstring's c, for largest index ``terms``."""
+    if s.imag == 0.0:
+        return 4.0
+    return 4.0 * abs(s) * (1.0 + math.log(terms)) + 4.0
+
+
 def _reference(
     s: complex, value: complex, method: str, truncation: float, terms: int, scale: float
 ) -> ZetaReference:
     """What every route returns: a real value at real s, with truncation
-    plus the module docstring's floor for largest index ``terms``."""
+    plus the rounding floor c eps scale."""
     if s.imag == 0.0:
-        return ZetaReference(complex(value.real), method, truncation + 4.0 * _EPS * scale)
-    floor = (4.0 * abs(s) * (1.0 + math.log(terms)) + 4.0) * _EPS * scale
-    return ZetaReference(complex(value), method, truncation + floor)
+        value = value.real
+    return ZetaReference(complex(value), method, truncation + _floor_factor(s, terms) * _EPS * scale)
 
 
 def _dirichlet_tail(sigma: float, N: int) -> float:
@@ -320,6 +335,10 @@ def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
     needs B_{2K+2}, and the exact table stops at B_120).  Backlund's
     bound |R_K| <= |s+2K+1|/(Re s+2K+1) |T_{K+1}| (Edwards, Riemann's
     Zeta Function, 6.4) is rigorous.
+
+    Raises:
+        UnsupportedRangeError: before any summation, when a correction
+            or the bound is not finite (N far below |Im s|).
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -334,12 +353,9 @@ def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
         raise UnsupportedRangeError(
             f"K={K} exceeds supported maximum {_BERNOULLI_MAX_K - 1}"
         )
-    partial, partial_mag = _dirichlet_sum(s, N - 1)
     n_pow = complex(positive_power(np.array([float(N)]), -s)[0])  # N^-s
-    pole = N * n_pow / (s - 1.0)
-    half = 0.5 * n_pow
     # T_k = b_k * rising_k * N^-s with rising_k = s(s+1)...(s+2k-2)/N^(2k-1),
-    # carried as a ratio so that no factor overflows at large |t|
+    # carried as a ratio so that no factor overflows while N is near |t|
     corrections = []
     rising = s / N
     for k, b in enumerate(_bernoulli_table()[1][: K + 1], start=1):
@@ -347,9 +363,18 @@ def zeta_em_bernoulli(s: complex, N: int, K: int) -> ZetaReference:
             rising *= (s + (2 * k - 3)) * (s + (2 * k - 2)) / (N * N)
         corrections.append(b * rising * n_pow)
     last = corrections.pop()
-    value = partial + pole + half + sum(corrections)
+    correction, correction_mag = sum(corrections), sum(abs(c) for c in corrections)
     remainder = abs(s + (2 * K + 1)) / (s.real + 2 * K + 1) * abs(last)
-    scale = partial_mag + abs(pole) + abs(half) + sum(abs(c) for c in corrections)
+    if not (cmath.isfinite(correction) and math.isfinite(correction_mag + remainder)):
+        raise UnsupportedRangeError(
+            f"no bound for the Euler-Maclaurin-Bernoulli route at s={s} with N={N}, "
+            f"K={K}: its corrections overflow"
+        )
+    partial, partial_mag = _dirichlet_sum(s, N - 1)
+    pole = N * n_pow / (s - 1.0)
+    half = 0.5 * n_pow
+    value = partial + pole + half + correction
+    scale = partial_mag + abs(pole) + abs(half) + correction_mag
     return _reference(s, value, "em_bernoulli", remainder, N, scale)
 
 
@@ -471,7 +496,8 @@ def cross_routes(s: complex) -> list[ZetaReference]:
     reference_zeta's cutoff and the Euler product over the primes below
     10^5.  0 < Re(s) <= 1: eta and Euler-Maclaurin to 10^6.  At every s
     then the Euler-Maclaurin-Bernoulli and Borwein pair, at the
-    parameters reference_zeta uses in the critical strip.
+    parameters reference_zeta uses in the critical strip (and for
+    Euler-Maclaurin-Bernoulli where the cutoff hits _X_CAP).
     """
     s = complex(s)
     if s.real > 1.0:
@@ -489,15 +515,24 @@ def cross_routes(s: complex) -> list[ZetaReference]:
 def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
     """(route reported, route it is cross-checked against) at s.
 
-    For Re(s) > 1 both routes are floor-function Euler-Maclaurin and the
-    one with the smaller error bound is reported; for 0 < Re(s) <= 1 the
-    Euler-Maclaurin-Bernoulli route is, checked by Borwein's series.
+    For Re(s) > 1 one route is the floor-function Euler-Maclaurin sum to
+    10^6 and the other depends on the cutoff X that a 1e-10 tail bound
+    needs: below _X_CAP the floor-function route to X; at the cap, where
+    that route cannot reach 1e-10, Euler-Maclaurin-Bernoulli at
+    N = 20 + ceil(|Im s|), unless N exceeds the cap too.  Of the two, the
+    one with the smaller error bound is reported.  For 0 < Re(s) <= 1
+    the Euler-Maclaurin-Bernoulli route is, checked by Borwein's series.
 
     Raises:
         UnsupportedRangeError: before any summation, when Re(s) > 1 and
             even the largest cutoff, _X_CAP, leaves the Euler-Maclaurin
-            tail bound |s| X^-sigma/sigma at 1 or more (huge |Im s|), or
-            when Re(s) <= 1 and Borwein's n would exceed _BORWEIN_MAX_N.
+            tail bound |s| X^-sigma/sigma at 1 or more (huge |Im s|); when
+            Re(s) > 1 and the two rounding floors alone would make
+            reference_zeta's allowance exceed |value| (each route's scale
+            is at least 1, and |value| <= zeta(sigma) + bound <
+            sigma/(sigma-1) + bound, so 9 (c1 + c2) eps >= sigma/(sigma-1)
+            suffices); or when Re(s) <= 1 and Borwein's n would exceed
+            _BORWEIN_MAX_N.
     """
     if s.real > 1.0:
         bound = abs(s) * _X_CAP ** -s.real / s.real
@@ -506,7 +541,17 @@ def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
                 f"no reference at s={s}: the Euler-Maclaurin tail bound at the "
                 f"largest cutoff {_X_CAP} is {bound:.3e}, not below 1"
             )
-        cut = zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s))
+        X, N = _choose_em_cutoff(s), 20 + math.ceil(abs(s.imag))
+        switched = X == _X_CAP and N <= _X_CAP
+        floors = (_floor_factor(s, N if switched else X) + _floor_factor(s, 1_000_000)) * _EPS
+        zeta_cap = s.real / (s.real - 1.0)  # > zeta(sigma) >= |zeta(s)|
+        if not 9.0 * floors < zeta_cap:
+            raise UnsupportedRangeError(
+                f"no reference at s={s}: the rounding floors alone put the cross-check "
+                f"allowance above {9.0 * floors:.3e}, not below |zeta(s)| <= "
+                f"Re(s)/(Re(s)-1) = {zeta_cap:.3e}"
+            )
+        cut = zeta_em_bernoulli(s, N, _EM_TERMS) if switched else zeta_euler_maclaurin(s, 64, X)
         full = zeta_euler_maclaurin(s, 1_000_000, 1_000_000)
         return (cut, full) if cut.error_bound <= full.error_bound else (full, cut)
     return _em_borwein_pair(s)
@@ -516,10 +561,16 @@ def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
 def reference_zeta(s: complex) -> ZetaReference:
     """Best available reference for zeta(s), cross-checked.
 
-    Re(s) > 1: two Euler-Maclaurin routes, one with the cutoff chosen
-    for a 1e-10 bound and one with the whole Dirichlet sum to N = 10^6
-    and no integral (bound |s| N^-sigma/sigma); the one with the
-    smaller bound is reported and the other checks it.
+    Re(s) > 1: the floor-function Euler-Maclaurin route with the whole
+    Dirichlet sum to N = 10^6 and no integral (bound |s| N^-sigma/sigma),
+    and a second route: the floor-function one with the cutoff chosen
+    for a 1e-10 bound, or, where that cutoff hits its cap of 8e6
+    (every real s <= 1.455), Euler-Maclaurin with Bernoulli corrections
+    at N = 20 + ceil(|Im s|) <= 8e6.  The one with the smaller bound is
+    reported and the other checks it.  A cold call costs 9-350 ms below
+    the cap (the most just above s = 1.455), and about 10 ms at real s
+    and 50-75 ms at complex s where the Bernoulli route is taken, with a
+    bound of 1.8e-14 at s = 1.05.
     0 < Re(s) <= 1: Euler-Maclaurin with Bernoulli corrections at
     N = 20 + ceil(|Im s|), cross-checked against Borwein's series.
     The two must agree within 10x the sum of their reported bounds,
@@ -527,7 +578,8 @@ def reference_zeta(s: complex) -> ZetaReference:
 
     Raises:
         UnsupportedRangeError: for a non-finite s; before any summation
-            when the routes would not reach a useful bound (see
+            when the routes would not reach a useful bound or their
+            rounding floors alone make the cross-check vacuous (see
             _reference_routes); and after it, when the cross-check
             allowance is not below the reported |value|, so the check
             could not fail (at a zero, for instance).

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import trigzeta as tz
 from trigzeta import cli, oracle, trig_sums
-from trigzeta.errors import DomainError, UsageError
+from trigzeta.errors import DomainError, UnsupportedRangeError, UsageError
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -207,16 +206,29 @@ class TestExecution:
 
     def test_vacuous_floor_refused(self):
         # at 3+1e13i the floors alone put the cross-check allowance above
-        # |zeta|; each refusal sums 9e6 terms first, so the two run at once
-        argvs = [("oracle", "--s", "3+1e13i"), ("eval", "--s", "3+1e13i", "--rep", "E28", "--q", "10")]
-        with ThreadPoolExecutor(len(argvs)) as pool:
-            results = list(pool.map(lambda argv: run_cli(*argv), argvs))
-        for result in results:
+        # |zeta|
+        for argv in [("oracle", "--s", "3+1e13i"), ("eval", "--s", "3+1e13i", "--rep", "E28", "--q", "10")]:
+            result = run_cli(*argv)
             assert result.returncode == 1
             assert result.stdout == ""
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "allowance" in lines[0]
+
+    def test_vacuous_floor_refused_before_summing(self, monkeypatch):
+        # each route's scale is at least 1, so the two floors alone put the
+        # allowance above zeta(3) >= |zeta| before anything is summed
+        def no_sum(*args):
+            raise AssertionError("summed before refusing")
+
+        monkeypatch.setattr(oracle, "power_sum", no_sum)
+        monkeypatch.setattr(oracle, "exact_sum", no_sum)
+        with pytest.raises(UnsupportedRangeError, match="allowance"):
+            tz.reference_zeta(3 + 1e13j)
+        status, out, err = run_main(["oracle", "--s", "3+1e13i"])
+        assert (status, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "allowance" in lines[0]
 
     def test_import_leaves_mpmath_out(self):
         result = run_python("-c", "import sys, trigzeta; print('mpmath' in sys.modules)")
@@ -427,8 +439,11 @@ _S_LITERALS = st.one_of(
         "400", "2+1e300i", "1e300+1e300i", "0.5+1e300i", "0.5+5000i", "abc", "", "2+i",
         "1.2.3", "2,5", "--1",
     ]),
-    # the critical strip; 1 < Re(s) < 2 stays out (a cold reference costs up to 0.5 s)
+    # the critical strip, and 1 < Re(s) <= 1.45, where the reference takes
+    # the Euler-Maclaurin-Bernoulli route (1.45 < Re(s) < 2 stays out: a cold
+    # floor-function reference there costs up to 0.4 s)
     st.builds(_literal, st.floats(0.001, 1.0), st.floats(-40.0, 40.0)),
+    st.builds(_literal, st.floats(1.0, 1.45, exclude_min=True), st.floats(-40.0, 40.0)),
     st.builds(_literal, st.floats(2.0, 60.0), st.one_of(st.just(0.0), st.floats(-30.0, 30.0))),
 )
 _OUTPUT = st.sampled_from([[], ["--output", "csv"], ["--output", "json"]])

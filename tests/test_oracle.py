@@ -297,6 +297,12 @@ class TestEulerMaclaurinBernoulli:
         with pytest.raises(UnsupportedRangeError):
             tz.zeta_em_bernoulli(0.5, 20, 60)
 
+    @pytest.mark.parametrize("s,N,K", [(3 + 1e9j, 2, 20), (0.5 + 1e5j, 3, 58)])
+    def test_overflowing_corrections_refused(self, s, N, K):
+        # s(s+1).../N^(2k-1) overflows when N is far below |t|
+        with pytest.raises(UnsupportedRangeError, match=f"N={N}, K={K}"):
+            tz.zeta_em_bernoulli(s, N, K)
+
 
 class TestBorwein:
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
@@ -433,6 +439,24 @@ class TestReferenceZeta:
         assert _choose_em_cutoff(10) == 64
 
 
+# either side of the cap on the floor-function cutoff: every real s <= 1.455
+# and these complex s reach it, 1.46 and 1.5 do not
+SWITCH_GRID = [
+    1 + 1e-4, 1.01, 1.05, 1.3, 1.455, 1.46, 1.5,
+    1.05 + 1j, 1.2 + 14j, 1.01 + 100j, 1.3 + 1000j, 1.5 + 1e4j,
+]
+
+
+@pytest.mark.parametrize("s", SWITCH_GRID)
+def test_capped_cutoff_reports_em_bernoulli(s):
+    s = complex(s)
+    capped = _choose_em_cutoff(s) == _X_CAP and 20 + math.ceil(abs(s.imag)) <= _X_CAP
+    assert capped == (s not in (1.46, 1.5))
+    ref = tz.reference_zeta(s)
+    assert ref.method == ("em_bernoulli" if capped else "euler_maclaurin")
+    assert gap_to(ref.value, mp_zeta(s, 35)) <= ref.error_bound
+
+
 OR_S_VALUES = [1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0, 0.5, 0.5 + 18j]
 
 
@@ -504,11 +528,17 @@ def test_every_route_bound_is_true(s, sizes):
         assert gap_to(ref.value, exact) <= ref.error_bound, (name, s, size)
 
 
-@given(s=st.builds(complex, st.floats(1.2, 60.0), st.one_of(st.just(0.0), st.floats(-1e4, 1e4))))
+@given(
+    s=st.builds(
+        complex,
+        st.one_of(st.floats(1.0, 1.45, exclude_min=True), st.floats(1.2, 60.0)),
+        st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    )
+)
 @example(s=3 + 1000j)
 @example(s=12 + 1e5j)
 @example(s=6 + 1e5j)
-@settings(derandomize=True, max_examples=5, deadline=None)
+@settings(derandomize=True, max_examples=10, deadline=None)
 def test_reference_bound_is_true(s):
     ref = tz.reference_zeta(s)
     assert gap_to(ref.value, mp_zeta(s, 35)) <= ref.error_bound
