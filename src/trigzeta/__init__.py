@@ -50,7 +50,6 @@ from .oracle import (
 from .tannery import (
     ConditionIIReport,
     ConditionIReport,
-    ConditionReport,
     ExchangeResult,
     TanneryInstance,
     c_bound,
@@ -80,7 +79,6 @@ __all__ = [
     "CATALOG_IDS",
     "ConditionIIReport",
     "ConditionIReport",
-    "ConditionReport",
     "ConvergenceSeries",
     "CrossCheckError",
     "DomainError",

@@ -342,15 +342,15 @@ def _suite_tannery(s: complex | None) -> Iterator[_Check]:
             # the p = 1 deviation is about s/(2q), so run q up to 1000 s
             k = max(4, math.ceil(math.log10(1000.0 * s_val.real)))
             rep_i = tannery.verify_condition_i(inst, 5, [10**j for j in range(1, k + 1)], 1e-3)
-            reports.append(tannery.ConditionReport(inst.name, rep_i, rep_ii))
-        for report in reports:
-            ii = report.condition_ii
-            reason = [] if report.condition_i.passed else ["condition (i)"]
-            if not ii.passed:
-                converges = "" if ii.series_converges else " (bound series not convergent)"
+            reports.append((inst.name, rep_i, rep_ii))
+        for name, rep_i, rep_ii in reports:
+            reason = [] if rep_i.passed else ["condition (i)"]
+            if not rep_ii.passed:
+                converges = "" if rep_ii.series_converges else " (bound series not convergent)"
                 reason.append(f"condition (ii){converges}")
-            failure = f"{report.instance}: {' and '.join(reason)} failed"
-            yield report.to_kv(), None if report.passed else failure
+            lines = [f"instance={name}", f"passed={str(not reason).lower()}"]
+            failure = f"{name}: {' and '.join(reason)} failed" if reason else None
+            yield "\n".join([*lines, rep_i.to_kv(), rep_ii.to_kv()]), failure
 
 
 def _suite_specializations(_s: complex | None) -> Iterator[_Check]:

@@ -14,15 +14,8 @@ class InsufficientDataError(ValueError):
 
 
 class CrossCheckError(ArithmeticError):
-    """Two independent reference computations disagree beyond tolerance.
-
-    Carries both values so callers can diagnose which side is off.
-    """
-
-    def __init__(self, message: str, value_a: complex, value_b: complex):
-        super().__init__(message)
-        self.value_a = value_a
-        self.value_b = value_b
+    """Two independent reference computations disagree beyond their
+    allowance; the message names both routes with their values and bounds."""
 
 
 class UsageError(ValueError):

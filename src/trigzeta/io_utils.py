@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from pathlib import Path
 
 
@@ -21,12 +21,19 @@ def json_text(payload: object) -> str:
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Write text to path atomically: temp file in the same directory,
-    then rename.  Either the complete file appears or nothing does."""
+    then rename.  Either the complete file appears or nothing does.
+
+    The file gets the mode ``open(path, "w")`` would give it: an existing
+    file keeps its own, and a new one gets 0o666 less the umask, which
+    the kernel applies as it creates the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         try:

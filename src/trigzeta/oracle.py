@@ -481,9 +481,9 @@ def _borwein_order(s: complex) -> int:
 
 
 def _em_borwein_pair(s: complex) -> tuple[ZetaReference, ZetaReference]:
-    """(zeta_em_bernoulli, zeta_borwein) at the parameters reference_zeta
-    uses: N = 20 + ceil(|Im s|) with _EM_TERMS corrections, and Borwein's
-    n from _borwein_order, which refuses before any summation."""
+    """(zeta_em_bernoulli, zeta_borwein), reference_zeta's pair for
+    0 < Re(s) <= 1: N = 20 + ceil(|Im s|) with _EM_TERMS corrections, and
+    Borwein's n from _borwein_order, which refuses before any summation."""
     n = _borwein_order(s)
     em = zeta_em_bernoulli(s, 20 + math.ceil(abs(s.imag)), _EM_TERMS)
     return em, zeta_borwein(s, n)
@@ -492,23 +492,16 @@ def _em_borwein_pair(s: complex) -> tuple[ZetaReference, ZetaReference]:
 def cross_routes(s: complex) -> list[ZetaReference]:
     """Every route that reaches s, for ``verify --suite cross``.
 
-    Re(s) > 1: the Dirichlet and eta sums to 10^6, Euler-Maclaurin at
-    reference_zeta's cutoff and the Euler product over the primes below
-    10^5.  0 < Re(s) <= 1: eta and Euler-Maclaurin to 10^6.  At every s
-    then the Euler-Maclaurin-Bernoulli and Borwein pair, at the
-    parameters reference_zeta uses in the critical strip (and for
-    Euler-Maclaurin-Bernoulli where the cutoff hits _X_CAP).
+    Re(s) > 1: the Dirichlet sum, the eta sum and the floor-function
+    Euler-Maclaurin route to 10^6, and the Euler product over the primes
+    below 10^5.  0 < Re(s) <= 1: eta and Euler-Maclaurin to 10^6.  At
+    every s then the Euler-Maclaurin-Bernoulli and Borwein pair, at the
+    parameters reference_zeta uses in the critical strip.
     """
     s = complex(s)
+    refs = [zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)]
     if s.real > 1.0:
-        refs = [
-            zeta_dirichlet(s, 1_000_000),
-            zeta_eta(s, 1_000_000),
-            zeta_euler_maclaurin(s, 64, _choose_em_cutoff(s)),
-            zeta_euler_product(s, 100_000),
-        ]
-    else:
-        refs = [zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)]
+        refs = [zeta_dirichlet(s, 1_000_000), *refs, zeta_euler_product(s, 100_000)]
     return [*refs, *_em_borwein_pair(s)]
 
 
@@ -574,7 +567,7 @@ def reference_zeta(s: complex) -> ZetaReference:
     0 < Re(s) <= 1: Euler-Maclaurin with Bernoulli corrections at
     N = 20 + ceil(|Im s|), cross-checked against Borwein's series.
     The two must agree within 10x the sum of their reported bounds,
-    else a CrossCheckError carries both values.
+    else a CrossCheckError names both routes with their values and bounds.
 
     Raises:
         UnsupportedRangeError: for a non-finite s; before any summation
@@ -601,9 +594,8 @@ def reference_zeta(s: complex) -> ZetaReference:
         )
     if gap > allowance:
         raise CrossCheckError(
-            f"reference cross-check failed at s={s}: |{best.method} - {other.method}| "
-            f"= {gap:.3e} > {allowance:.3e}",
-            best.value,
-            other.value,
+            f"reference cross-check failed at s={s}: {best.method} = {best.value} "
+            f"(bound {best.error_bound:.3e}) and {other.method} = {other.value} "
+            f"(bound {other.error_bound:.3e}) differ by {gap:.3e} > {allowance:.3e}"
         )
     return best

@@ -132,23 +132,6 @@ class ConditionIIReport:
         return _kv_lines("condition_ii", self)
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionReport:
-    """Combined report for both hypotheses of the theorem."""
-
-    instance: str
-    condition_i: ConditionIReport
-    condition_ii: ConditionIIReport
-
-    @property
-    def passed(self) -> bool:
-        return self.condition_i.passed and self.condition_ii.passed
-
-    def to_kv(self) -> str:
-        lines = [f"instance={self.instance}", f"passed={str(self.passed).lower()}"]
-        return "\n".join([*lines, self.condition_i.to_kv(), self.condition_ii.to_kv()])
-
-
 class ExchangeResult(NamedTuple):
     lhs: complex
     rhs: complex

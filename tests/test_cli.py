@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trigzeta as tz
-from trigzeta import cli, oracle, trig_sums
+from trigzeta import cli, io_utils, oracle, tannery, trig_sums
 from trigzeta.errors import DomainError, UnsupportedRangeError, UsageError
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -276,6 +277,55 @@ class TestExecution:
         result = run_cli("verify", "--suite", "tannery")
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("s,status", [("2", 0), ("1", 2)])
+    def test_verify_tannery_block_per_instance(self, s, status):
+        # each shape prints instance=, then passed= (both conditions passed),
+        # then its condition (i) and (ii) reports' lines
+        code, out, err = run_main(["verify", "--suite", "tannery", "--s", s])
+        assert code == status
+        lines = out.splitlines()
+        if status == 0:
+            assert err == "" and lines.pop() == "suite tannery: all checks passed"
+        else:
+            assert err.startswith("error: verify suite tannery: 5 check(s) failed: ")
+            assert len(err.splitlines()) == 1
+        starts = [k for k, line in enumerate(lines) if line.startswith("instance=")]
+        blocks = [lines[a:b] for a, b in zip(starts, [*starts[1:], len(lines)])]
+        specs = map(trig_sums.classical_form, ("E28", "E29", "E30", "E31", "E32"))
+        names = [tannery.zeta_trig_instance(c.kind, c.m, c.n, float(s)).name for c in specs]
+        assert starts[0] == 0 and [block[0] for block in blocks] == [f"instance={n}" for n in names]
+        keys = [
+            f"{prefix}.{f.name}"
+            for prefix, report in (("condition_i", tz.ConditionIReport),
+                                   ("condition_ii", tz.ConditionIIReport))
+            for f in dataclasses.fields(report)
+        ]
+        for block in blocks:
+            kv = dict(line.split("=", 1) for line in block[2:])
+            assert list(kv) == keys
+            passed = kv["condition_i.passed"] == kv["condition_ii.passed"] == "true"
+            assert passed is (status == 0)
+            assert block[1] == f"passed={str(passed).lower()}"
+
+    def test_failed_reference_cross_check_exits_2(self, monkeypatch):
+        # Borwein's series off by 1e-6 at s = 0.5, far above the allowance
+        right, pair = oracle._em_borwein_pair, []
+
+        def wrong(s):
+            em, borwein = right(s)
+            pair[:] = em, dataclasses.replace(borwein, value=borwein.value + 1e-6)
+            return tuple(pair)
+
+        monkeypatch.setattr(oracle, "_em_borwein_pair", wrong)
+        tz.reference_zeta.cache_clear()
+        status, out, err = run_main(["oracle", "--s", "0.5"])
+        assert (status, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: reference cross-check failed")
+        assert [ref.method for ref in pair] == ["em_bernoulli", "borwein"]
+        for ref in pair:
+            assert f"{ref.method} = {ref.value} " in lines[0]
+
     @pytest.mark.parametrize("s", ["20", "37", "300"])
     def test_verify_tannery_large_s_green(self, s):
         # the schedule runs to q >= 1000 s, past the p = 1 deviation s/(2q)
@@ -333,6 +383,42 @@ class TestDeterminismAndFiles:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert not missing.exists()
+
+    def test_new_out_file_gets_the_mode_of_a_plain_write(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        umask = os.umask(0o022)
+        try:
+            status, stdout, _ = run_main(["oracle", "--s", "2", "--output", "csv",
+                                          "--out", str(out)])
+        finally:
+            os.umask(umask)
+        assert (status, stdout) == (0, "")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_existing_out_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "result.txt"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            io_utils.write_text_atomic(out, "new\n")
+        finally:
+            os.umask(umask)
+        assert out.read_text() == "new\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "result.txt"
+        out.write_text("old\n")
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            io_utils.write_text_atomic(out, "new\n")
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "old\n"
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

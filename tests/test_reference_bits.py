@@ -1,11 +1,15 @@
-"""reference_zeta keeps its bits at a fixed list of s.
+"""reference_zeta, finite_trig_sum and the tannery suite keep their bits.
 
 ``reference_bits.json`` records the value, error bound and method of
-``reference_zeta`` at every s below, together with the numpy version and
+``reference_zeta`` at every s below, ``finite_trig_sum``'s value and
+rounding bound over a grid of shapes, q and s, and the stdout of
+``verify --suite tannery`` at two s, together with the numpy version and
 the SIMD targets numpy dispatches to, since both decide the last bits
 (``NPY_DISABLE_CPU_FEATURES`` switches targets off).  Where both match
-the recording, every value and bound must keep its bits.  Elsewhere each
-value must lie within its own bound of the recorded one.
+the recording, every value, bound and byte must be kept.  Elsewhere each
+reference must lie within its own bound of the recorded one, each sum
+within the sum of the two rounding bounds of the recorded one, and each
+line of the tannery stdout must keep its key and every boolean field.
 
 A change that moves bits on purpose regenerates the file and says which
 entries moved, and why, in CHANGES.md:
@@ -13,6 +17,8 @@ entries moved, and why, in CHANGES.md:
     PYTHONPATH=src python tests/test_reference_bits.py
 """
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -38,6 +44,18 @@ S_VALUES = (
     1.455, 1.46, 2.5 + 1e4j,
 )
 
+# the kernel grid: q from one block to past 32 of them, with one index
+# past a block boundary at 4097 and 131073
+KERNEL_SHAPES = ("E28", "E29", "E30", "E31", "E32")
+KERNEL_Q = (7, 50, 300, 4097, 20000, 10**5, 131073)
+KERNEL_S = (1.5, 2.0, 2.5, 4.0, 30.0, 1.05, 2.5 + 1.3j, 3 + 15j, 1.2 - 7j)
+
+# the default s, and the s = 1 negative control
+TANNERY_ARGVS = (
+    ["verify", "--suite", "tannery"],
+    ["verify", "--suite", "tannery", "--s", "1"],
+)
+
 
 def dispatch() -> dict[str, object]:
     """numpy's version and the SIMD targets it reports as enabled."""
@@ -59,17 +77,44 @@ def record(s: complex) -> dict[str, object]:
     }
 
 
-def _bits(entry: dict) -> list[str]:
-    return [x.hex() for x in (*entry["value"], entry["error_bound"])]
+def kernel_record(shape: str, q: int, s: complex) -> dict[str, object]:
+    ev = tz.finite_trig_sum(tz.classical_form(shape), q, s)
+    return {
+        "shape": shape,
+        "q": q,
+        "s": [s.real, s.imag],
+        "value": [ev.value.real, ev.value.imag],
+        "rounding_bound": ev.rounding_bound,
+    }
 
 
-_GOLDEN = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"dispatch": None, "entries": []}
+def tannery_record(argv: list[str]) -> dict[str, object]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    return {"argv": argv, "stdout": out.getvalue()}
+
+
+def _bits(entry: dict, bound: str = "error_bound") -> list[str]:
+    return [x.hex() for x in (*entry["value"], entry[bound])]
+
+
+_GOLDEN = {
+    "dispatch": None,
+    "entries": [],
+    "kernel": [],
+    "tannery": [],
+    **(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}),
+}
 _ENTRIES = _GOLDEN["entries"]
 
 
 def test_the_file_covers_the_list():
     assert [complex(*e["s"]) for e in _ENTRIES] == [complex(s) for s in S_VALUES]
     assert set(cli._CROSS_S) <= set(S_VALUES)
+    grid = [(shape, q, complex(s)) for shape in KERNEL_SHAPES for q in KERNEL_Q for s in KERNEL_S]
+    assert [(e["shape"], e["q"], complex(*e["s"])) for e in _GOLDEN["kernel"]] == grid
+    assert [e["argv"] for e in _GOLDEN["tannery"]] == list(TANNERY_ARGVS)
 
 
 @pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: f"s={complex(*e['s'])}")
@@ -83,6 +128,47 @@ def test_reference_keeps_its_bits(entry):
         assert math.isfinite(now["error_bound"]) and gap <= now["error_bound"]
 
 
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_kernel_keeps_its_bits(shape):
+    moved = []
+    for entry in (e for e in _GOLDEN["kernel"] if e["shape"] == shape):
+        now = kernel_record(shape, entry["q"], complex(*entry["s"]))
+        if _GOLDEN["dispatch"] == dispatch():
+            kept = _bits(now, "rounding_bound") == _bits(entry, "rounding_bound")
+        else:
+            gap = abs(complex(*now["value"]) - complex(*entry["value"]))
+            kept = gap <= now["rounding_bound"] + entry["rounding_bound"]
+        if not kept:
+            moved.append((entry["q"], complex(*entry["s"])))
+    assert moved == []
+
+
+def _key_and_flag(line: str) -> tuple[str, str | None]:
+    """A line's key (the whole line if it has none) and its boolean value."""
+    key, _, value = line.partition("=")
+    return key, value if value in ("true", "false") else None
+
+
+@pytest.mark.parametrize("entry", _GOLDEN["tannery"], ids=lambda e: " ".join(e["argv"]))
+def test_tannery_stdout_keeps_its_bytes(entry):
+    now = tannery_record(entry["argv"])["stdout"]
+    if _GOLDEN["dispatch"] == dispatch():
+        assert now == entry["stdout"]
+    else:
+        recorded = entry["stdout"].splitlines()
+        assert list(map(_key_and_flag, now.splitlines())) == list(map(_key_and_flag, recorded))
+
+
 if __name__ == "__main__":
-    payload = {"dispatch": dispatch(), "entries": [record(complex(s)) for s in S_VALUES]}
+    payload = {
+        "dispatch": dispatch(),
+        "entries": [record(complex(s)) for s in S_VALUES],
+        "kernel": [
+            kernel_record(shape, q, complex(s))
+            for shape in KERNEL_SHAPES
+            for q in KERNEL_Q
+            for s in KERNEL_S
+        ],
+        "tannery": [tannery_record(argv) for argv in TANNERY_ARGVS],
+    }
     GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
