@@ -3,6 +3,7 @@ layout, and the atomic file writer every ``--out`` goes through."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
@@ -23,10 +24,14 @@ def write_text_atomic(path: Path, text: str) -> None:
     """Write text to path atomically: temp file in the same directory,
     then rename.  Either the complete file appears or nothing does.
 
-    The file gets the mode ``open(path, "w")`` would give it: an existing
-    file keeps its own, and a new one gets 0o666 less the umask, which
-    the kernel applies as it creates the temp file."""
-    path = Path(path)
+    Like ``open(path, "w")``, it writes through a symbolic link: the path
+    is resolved first, so the link stays and its target gets the text.
+    The file gets the mode that ``open`` would give it: an existing file
+    keeps its own, and a new one gets 0o666 less the umask, which the
+    kernel applies as it creates the temp file."""
+    path = Path(os.path.realpath(path))
+    if path.is_symlink():  # realpath stops inside a loop of links
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -20,18 +20,24 @@ the power and summation primitives of :mod:`trigzeta.accumulate`:
   even integer arguments
 
 ``reference_zeta`` reports one route and cross-checks it against a
-second.  For Re(s) > 1 the check is the floor-function Euler-Maclaurin
-route with the whole Dirichlet sum to 10^6, and the route it checks is
-chosen by the cutoff X that a 1e-10 tail bound needs.  Below the cap
-of 8e6 it is the floor-function route to X.  At the cap (every real
-s <= 1.455, and larger Re(s) at large |Im s|) that route could not reach
-1e-10, so ``zeta_em_bernoulli`` at N = 20 + ceil(|Im s|) is taken
-instead, as long as N stays within the cap.  At s = 1.05 that makes a
-reference about 10 ms instead of 0.42 s (one call on a 2-core x86-64
-VM, after the process's first), with error bound 1.8e-14 instead of
-5.6e-8.  For 0 < Re(s) <= 1, where the paper's limits do not
-hold, it reports ``zeta_em_bernoulli`` at the same N and checks it
-against ``zeta_borwein``; both cost O(|Im s|) terms, not 10^6.
+partner, by one rule for every Re(s) > 0.  The first route is
+``zeta_em_bernoulli`` at N = 20 + ceil(|Im s|) where Re(s) <= 1 or the
+floor-function cutoff X that a 1e-10 tail bound needs reaches its cap
+of 8e6 (every real s <= 1.455), else the floor-function route to X.
+The partner is ``zeta_borwein`` wherever Borwein's n stays within 4096
+(|Im s| below about 4500) and 2^(1-s) is not within 1e-9 of 1; at other
+s with Re(s) > 1 (2.5+10^4 i, 1 + 2^-52) it is the floor-function route
+with the whole Dirichlet sum to 10^6.  At Re(s) > 1 the route with the
+smaller bound is reported.  What each pair shares, so that a defect
+there could shift both routes alike:
+
+  em_bernoulli, borwein      the powers of the first min(N - 1, n)
+                             integers, with opposite signs at even bases;
+                             the Bernoulli table (in Borwein's bound only)
+  floor-function, borwein    the powers of the first n integers, likewise
+  em_bernoulli, 10^6 sum     the powers of the first N - 1, same signs
+  floor-function, 10^6 sum   the powers up to min(X, 10^6), same signs: in
+                             exact arithmetic one series, cut at X and 10^6
 
 Every ``error_bound`` is a truncation bound (rigorous where the
 docstring says so) plus one rounding floor, c eps times the sum of
@@ -62,20 +68,16 @@ from .errors import CrossCheckError, DomainError, UnsupportedRangeError
 
 _EPS = sys.float_info.epsilon
 
-# Reference dispatch targets for Re(s) > 1: truncation bound aimed for by
-# reference_zeta, and the largest Euler-Maclaurin integral cutoff it will
-# pay for.  Where the cutoff reaches the cap, the Bernoulli route below is
-# taken instead, with N at most the cap.
+# reference_zeta's pair rule (module docstring): the tail bound the
+# floor-function route aims for, and the largest cutoff it will pay for.
 _REFERENCE_TARGET = 1e-10
 _X_CAP = 8_000_000
 
-# Reference dispatch for 0 < Re(s) <= 1 and for the capped s.  With
-# N = 20 + ceil(|t|) the k-th Bernoulli correction is about
+# With N = 20 + ceil(|t|) the k-th Bernoulli correction is about
 # |s + 2k|^2/(2 pi N)^2 times the one before, so twenty leave Backlund's
-# remainder far below rounding.
-# Borwein's n is the smallest whose truncation bound is below
-# _BORWEIN_TARGET; it grows by about 0.89 per unit of |t|, so the cap
-# reaches |t| of about 4500.
+# remainder far below rounding.  Borwein's n is the smallest whose
+# truncation bound is below _BORWEIN_TARGET; it grows by about 0.89 per
+# unit of |t|, so the cap reaches |t| of about 4500.
 _EM_TERMS = 20
 _BORWEIN_TARGET = 1e-17
 _BORWEIN_MAX_N = 4096
@@ -285,11 +287,19 @@ _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459
 @lru_cache(maxsize=1)
 def _bernoulli_table() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
     """(exact B_0..B_120, and B_2k/(2k)! for k = 1..60 each rounded
-    once), from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * _BERNOULLI_MAX_K + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    coefficients = [b[2 * k] / math.factorial(2 * k) for k in range(1, _BERNOULLI_MAX_K + 1)]
+    once), with B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the
+    tangent numbers T_k, built in exact integers by the Knuth-Buckholtz
+    recurrence (Brent and Harvey, "Fast computation of Bernoulli, Tangent
+    and Secant numbers", 2011, Algorithm TangentNumbers)."""
+    K = _BERNOULLI_MAX_K
+    t = [0] + [math.factorial(k - 1) for k in range(1, K + 1)]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    b = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (2 * K - 1)
+    for k in range(1, K + 1):
+        b[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+    coefficients = [b[2 * k] / math.factorial(2 * k) for k in range(1, K + 1)]
     return tuple(b), tuple(float(c) for c in coefficients)
 
 
@@ -405,7 +415,7 @@ def _borwein_log_scale(s: complex) -> float:
     by Stirling's series with 8 terms (remainder below |B_18| 2^9 /
     (18 * 17 * 20^17), about 7e-21): within 7.3e-15 (1 + |s|) of mpmath's
     loggamma over 0 < Re s <= 150, |Im s| <= 1e5, so the widening keeps
-    the truncation bound true.
+    the truncation bound true (the tests also check Re s up to 1e100).
     """
     shift = max(0, math.ceil(20.0 - s.real))
     z = s + shift
@@ -469,8 +479,12 @@ def _borwein_order(s: complex) -> int:
 
     Raises:
         UnsupportedRangeError: when that n exceeds _BORWEIN_MAX_N.
+        DomainError: on the prefactor's pole set (from _eta_denominator).
     """
-    log_need = _borwein_log_scale(s) + _LN2 - math.log(_BORWEIN_TARGET)
+    try:
+        log_need = _borwein_log_scale(s) + _LN2 - math.log(_BORWEIN_TARGET)
+    except OverflowError:  # lgamma(Re s), for Re s above about 2.5e305
+        log_need = math.inf
     n_real = log_need / math.log(3.0 + math.sqrt(8.0))
     if not n_real <= _BORWEIN_MAX_N:
         raise UnsupportedRangeError(
@@ -480,53 +494,40 @@ def _borwein_order(s: complex) -> int:
     return max(1, math.ceil(n_real))
 
 
-def _em_borwein_pair(s: complex) -> tuple[ZetaReference, ZetaReference]:
-    """(zeta_em_bernoulli, zeta_borwein), reference_zeta's pair for
-    0 < Re(s) <= 1: N = 20 + ceil(|Im s|) with _EM_TERMS corrections, and
-    Borwein's n from _borwein_order, which refuses before any summation."""
-    n = _borwein_order(s)
-    em = zeta_em_bernoulli(s, 20 + math.ceil(abs(s.imag)), _EM_TERMS)
-    return em, zeta_borwein(s, n)
-
-
 def cross_routes(s: complex) -> list[ZetaReference]:
     """Every route that reaches s, for ``verify --suite cross``.
 
     Re(s) > 1: the Dirichlet sum, the eta sum and the floor-function
     Euler-Maclaurin route to 10^6, and the Euler product over the primes
-    below 10^5.  0 < Re(s) <= 1: eta and Euler-Maclaurin to 10^6.  At
-    every s then the Euler-Maclaurin-Bernoulli and Borwein pair, at the
-    parameters reference_zeta uses in the critical strip.
+    below 10^5.  0 < Re(s) <= 1: eta and Euler-Maclaurin to 10^6.  Then
+    em_bernoulli and borwein as reference_zeta's pair rule runs them.
     """
     s = complex(s)
     refs = [zeta_eta(s, 1_000_000), zeta_euler_maclaurin(s, 64, 1_000_000)]
     if s.real > 1.0:
         refs = [zeta_dirichlet(s, 1_000_000), *refs, zeta_euler_product(s, 100_000)]
-    return [*refs, *_em_borwein_pair(s)]
+    n = _borwein_order(s)
+    em = zeta_em_bernoulli(s, 20 + math.ceil(abs(s.imag)), _EM_TERMS)
+    return [*refs, em, zeta_borwein(s, n)]
 
 
 def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
-    """(route reported, route it is cross-checked against) at s.
-
-    For Re(s) > 1 one route is the floor-function Euler-Maclaurin sum to
-    10^6 and the other depends on the cutoff X that a 1e-10 tail bound
-    needs: below _X_CAP the floor-function route to X; at the cap, where
-    that route cannot reach 1e-10, Euler-Maclaurin-Bernoulli at
-    N = 20 + ceil(|Im s|), unless N exceeds the cap too.  Of the two, the
-    one with the smaller error bound is reported.  For 0 < Re(s) <= 1
-    the Euler-Maclaurin-Bernoulli route is, checked by Borwein's series.
+    """(route reported, route it is cross-checked against) at s, by the
+    module docstring's pair rule.
 
     Raises:
         UnsupportedRangeError: before any summation, when Re(s) > 1 and
             even the largest cutoff, _X_CAP, leaves the Euler-Maclaurin
             tail bound |s| X^-sigma/sigma at 1 or more (huge |Im s|); when
-            Re(s) > 1 and the two rounding floors alone would make
-            reference_zeta's allowance exceed |value| (each route's scale
-            is at least 1, and |value| <= zeta(sigma) + bound <
+            Re(s) > 1 and the rounding floors of the first route and of
+            the 10^6 route (whose c is at least Borwein's) alone would
+            make reference_zeta's allowance exceed |value| (each route's
+            scale is at least 1, and |value| <= zeta(sigma) + bound <
             sigma/(sigma-1) + bound, so 9 (c1 + c2) eps >= sigma/(sigma-1)
-            suffices); or when Re(s) <= 1 and Borwein's n would exceed
+            suffices); or when Re(s) <= 1 and Borwein's n exceeds
             _BORWEIN_MAX_N.
     """
+    N, X = 20 + math.ceil(abs(s.imag)), 0  # X = 0: the Bernoulli route is first
     if s.real > 1.0:
         bound = abs(s) * _X_CAP ** -s.real / s.real
         if not bound < 1.0:
@@ -534,9 +535,9 @@ def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
                 f"no reference at s={s}: the Euler-Maclaurin tail bound at the "
                 f"largest cutoff {_X_CAP} is {bound:.3e}, not below 1"
             )
-        X, N = _choose_em_cutoff(s), 20 + math.ceil(abs(s.imag))
-        switched = X == _X_CAP and N <= _X_CAP
-        floors = (_floor_factor(s, N if switched else X) + _floor_factor(s, 1_000_000)) * _EPS
+        X = _choose_em_cutoff(s)
+        X = 0 if X == _X_CAP and N <= _X_CAP else X
+        floors = (_floor_factor(s, X or N) + _floor_factor(s, 1_000_000)) * _EPS
         zeta_cap = s.real / (s.real - 1.0)  # > zeta(sigma) >= |zeta(s)|
         if not 9.0 * floors < zeta_cap:
             raise UnsupportedRangeError(
@@ -544,30 +545,29 @@ def _reference_routes(s: complex) -> tuple[ZetaReference, ZetaReference]:
                 f"allowance above {9.0 * floors:.3e}, not below |zeta(s)| <= "
                 f"Re(s)/(Re(s)-1) = {zeta_cap:.3e}"
             )
-        cut = zeta_em_bernoulli(s, N, _EM_TERMS) if switched else zeta_euler_maclaurin(s, 64, X)
-        full = zeta_euler_maclaurin(s, 1_000_000, 1_000_000)
-        return (cut, full) if cut.error_bound <= full.error_bound else (full, cut)
-    return _em_borwein_pair(s)
+    try:
+        n = _borwein_order(s)
+    except (DomainError, UnsupportedRangeError):
+        if not s.real > 1.0:
+            raise
+        n = 0
+    first = zeta_euler_maclaurin(s, 64, X) if X else zeta_em_bernoulli(s, N, _EM_TERMS)
+    partner = zeta_borwein(s, n) if n else zeta_euler_maclaurin(s, 1_000_000, 1_000_000)
+    if s.real > 1.0 and partner.error_bound < first.error_bound:
+        return partner, first
+    return first, partner
 
 
 @lru_cache(maxsize=128)
 def reference_zeta(s: complex) -> ZetaReference:
-    """Best available reference for zeta(s), cross-checked.
-
-    Re(s) > 1: the floor-function Euler-Maclaurin route with the whole
-    Dirichlet sum to N = 10^6 and no integral (bound |s| N^-sigma/sigma),
-    and a second route: the floor-function one with the cutoff chosen
-    for a 1e-10 bound, or, where that cutoff hits its cap of 8e6
-    (every real s <= 1.455), Euler-Maclaurin with Bernoulli corrections
-    at N = 20 + ceil(|Im s|) <= 8e6.  The one with the smaller bound is
-    reported and the other checks it.  A cold call costs 9-350 ms below
-    the cap (the most just above s = 1.455), and about 10 ms at real s
-    and 50-75 ms at complex s where the Bernoulli route is taken, with a
-    bound of 1.8e-14 at s = 1.05.
-    0 < Re(s) <= 1: Euler-Maclaurin with Bernoulli corrections at
-    N = 20 + ceil(|Im s|), cross-checked against Borwein's series.
-    The two must agree within 10x the sum of their reported bounds,
-    else a CrossCheckError names both routes with their values and bounds.
+    """Best available reference for zeta(s), cross-checked by the module
+    docstring's pair rule: the two routes must agree within 10x the sum
+    of their reported bounds, else a CrossCheckError names both routes
+    with their values and bounds.  A cold call (``benches/baseline.py``,
+    2-core x86-64 VM) costs about 1 ms at 1.05, 3.7, 3+2i and 0.5+18i,
+    5 ms at 2, 140 ms at 1.5 and 0.4 s at 1.5+1.3i, where Borwein's
+    series is reported and the floor-function route to X (5.1e6 at 1.5)
+    only checks it.
 
     Raises:
         UnsupportedRangeError: for a non-finite s; before any summation

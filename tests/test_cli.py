@@ -145,7 +145,7 @@ class TestExecution:
         result = run_cli("oracle", "--s", "2")
         assert result.returncode == 0
         assert "1.6449340668" in result.stdout
-        assert "method = euler_maclaurin" in result.stdout
+        assert "method = borwein" in result.stdout
         assert "error_bound" in result.stdout
 
     def test_eval_reports_error_against_oracle(self):
@@ -161,7 +161,7 @@ class TestExecution:
         assert payload["q"] == 100
         assert payload["term_count"] == 100
         assert 0.0 < payload["rounding_bound"] < 1e-13
-        assert payload["reference"]["method"] == "euler_maclaurin"
+        assert payload["reference"]["method"] == "borwein"
 
     def test_usage_error_exit_one(self):
         result = run_cli("eval", "--s", "1", "--rep", "E28", "--q", "10")
@@ -307,22 +307,31 @@ class TestExecution:
             assert passed is (status == 0)
             assert block[1] == f"passed={str(passed).lower()}"
 
-    def test_failed_reference_cross_check_exits_2(self, monkeypatch):
-        # Borwein's series off by 1e-6 at s = 0.5, far above the allowance
-        right, pair = oracle._em_borwein_pair, []
+    @pytest.mark.parametrize("s,methods", [
+        ("0.5", ["em_bernoulli", "borwein"]),
+        ("3", ["borwein", "euler_maclaurin"]),
+    ])
+    def test_failed_reference_cross_check_exits_2(self, monkeypatch, s, methods):
+        # Borwein's series off by 1e-6, far above the allowance, in the
+        # strip and at Re(s) > 1, where it is the reported route
+        borwein, routes, pair = oracle.zeta_borwein, oracle._reference_routes, []
 
-        def wrong(s):
-            em, borwein = right(s)
-            pair[:] = em, dataclasses.replace(borwein, value=borwein.value + 1e-6)
+        def borwein_off(s, n):
+            ref = borwein(s, n)
+            return dataclasses.replace(ref, value=ref.value + 1e-6)
+
+        def recorded(s):
+            pair[:] = routes(s)
             return tuple(pair)
 
-        monkeypatch.setattr(oracle, "_em_borwein_pair", wrong)
+        monkeypatch.setattr(oracle, "zeta_borwein", borwein_off)
+        monkeypatch.setattr(oracle, "_reference_routes", recorded)
         tz.reference_zeta.cache_clear()
-        status, out, err = run_main(["oracle", "--s", "0.5"])
+        status, out, err = run_main(["oracle", "--s", s])
         assert (status, out) == (2, "")
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: reference cross-check failed")
-        assert [ref.method for ref in pair] == ["em_bernoulli", "borwein"]
+        assert [ref.method for ref in pair] == methods
         for ref in pair:
             assert f"{ref.method} = {ref.value} " in lines[0]
 
@@ -419,6 +428,42 @@ class TestDeterminismAndFiles:
             io_utils.write_text_atomic(out, "new\n")
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_text() == "old\n"
+
+    def test_out_through_a_link_writes_its_target(self, tmp_path):
+        # as open(path, "w") does: the link stays, its target gets the
+        # bytes and keeps its mode
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        argv = ["oracle", "--s", "2", "--output", "csv"]
+        status, stdout, _ = run_main([*argv, "--out", str(link)])
+        assert (status, stdout) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == run_main(argv)[1]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_out_through_a_dangling_link_creates_its_target(self, tmp_path):
+        link, target = tmp_path / "link.csv", tmp_path / "new.csv"
+        link.symlink_to(target.name)
+        umask = os.umask(0o022)
+        try:
+            io_utils.write_text_atomic(link, "new\n")
+        finally:
+            os.umask(umask)
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_out_through_a_loop_of_links_fails(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.symlink_to("b")
+        b.symlink_to("a")
+        status, stdout, err = run_main(["oracle", "--s", "2", "--out", str(a)])
+        assert (status, stdout) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert a.is_symlink() and b.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

@@ -1,5 +1,6 @@
 """Tests for the classical zeta reference computations."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import trigzeta as tz
-from trigzeta.errors import DomainError, UnsupportedRangeError
+from trigzeta import oracle
+from trigzeta.errors import CrossCheckError, DomainError, UnsupportedRangeError
 from trigzeta.oracle import (
     _X_CAP,
     _borwein_log_scale,
+    _borwein_order,
     _borwein_weights,
     _choose_em_cutoff,
-    _em_borwein_pair,
     _em_integral,
     _eta_denominator,
     _PI,
@@ -208,11 +210,25 @@ class TestBernoulli:
         assert all(table[k] == 0 for k in range(3, 21, 2))
 
     def test_defining_recurrence(self):
-        # sum_{j=0}^{m} C(m+1, j) B_j = 0 for every m >= 1
-        table = tz.bernoulli_numbers(15)
-        for m in range(1, 31):
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0 for every m >= 1, over the whole table
+        table = tz.bernoulli_numbers(60)
+        for m in range(1, 121):
             total = sum(math.comb(m + 1, j) * table[j] for j in range(m + 1))
-            assert total == 0
+            assert total == 0, m
+
+    def test_table_equals_the_defining_recurrence_tuple(self):
+        # the tuple that recurrence builds, term by term in Fractions
+        b = [Fraction(1)]
+        for m in range(1, 121):
+            b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+        assert tz.bernoulli_numbers(60) == tuple(b)
+
+    def test_against_mpmath(self):
+        table = tz.bernoulli_numbers(60)
+        with mpmath.workdps(60):
+            for k in range(1, 61):
+                exact = mpmath.mpf(table[2 * k].numerator) / table[2 * k].denominator
+                assert abs(exact / mpmath.bernoulli(2 * k) - 1) < mpmath.mpf(10) ** -55, k
 
     def test_float_round_trip(self):
         b12 = tz.bernoulli_numbers(6)[12]
@@ -335,11 +351,15 @@ class TestBorwein:
             rel = float(abs(mpmath.mpc(_eta_denominator(complex(s))) - exact) / abs(exact))
         assert rel <= 4 * sys.float_info.epsilon
 
-    @pytest.mark.parametrize("sigma", [0.001, 0.1, 0.5, 0.9, 1.5, 3.0, 10.0, 19.5, 20.0, 55.0])
+    @pytest.mark.parametrize(
+        "sigma", [0.001, 0.1, 0.5, 0.9, 1.5, 3.0, 10.0, 19.5, 20.0, 55.0, 200.0, 1e5, 1e12, 1e100]
+    )
     @pytest.mark.parametrize("t", [0.0, 0.3, -1.0, 18.0, 100.0, -1000.0, 4500.0])
     def test_log_scale_agrees_with_mpmath_from_above(self, sigma, t):
         # Stirling's ln|Gamma(s)| is within 1e-12 (1 + |s|) of mpmath's
-        # loggamma, and widening by that much keeps the scale above it
+        # loggamma, and widening by that much keeps the scale above it,
+        # at every Re(s) where Borwein's series can be reference_zeta's
+        # partner (|Im s| below about 4500)
         s = complex(sigma, t)
         with mpmath.workdps(40):
             z = mpmath.mpc(sigma, t)
@@ -370,7 +390,7 @@ def test_strip_pair_within_bounds(sigma, t):
     """The reference pair for 0 < Re(s) <= 1 against 50-digit zeta."""
     s = complex(sigma, t)
     exact = mp_zeta(s)
-    em, bw = _em_borwein_pair(s)
+    em, bw = _reference_routes(s)
     for ref in (em, bw):
         assert gap_to(ref.value, exact) <= ref.error_bound, ref.method
     ref = tz.reference_zeta(s)
@@ -440,21 +460,73 @@ class TestReferenceZeta:
 
 
 # either side of the cap on the floor-function cutoff: every real s <= 1.455
-# and these complex s reach it, 1.46 and 1.5 do not
-SWITCH_GRID = [
-    1 + 1e-4, 1.01, 1.05, 1.3, 1.455, 1.46, 1.5,
-    1.05 + 1j, 1.2 + 14j, 1.01 + 100j, 1.3 + 1000j, 1.5 + 1e4j,
-]
+# and these complex s reach it, 1.46 and 1.5 do not.  Borwein's series, the
+# partner below |Im s| of about 4500, is reported where its bound is smaller.
+SWITCH_GRID = {
+    1 + 1e-4: "em_bernoulli", 1.01: "em_bernoulli", 1.05: "em_bernoulli",
+    1.3: "em_bernoulli", 1.455: "em_bernoulli", 1.46: "borwein", 1.5: "borwein",
+    1.05 + 1j: "em_bernoulli", 1.2 + 14j: "borwein", 1.01 + 100j: "em_bernoulli",
+    1.3 + 1000j: "borwein", 1.5 + 1e4j: "em_bernoulli",
+}
 
 
-@pytest.mark.parametrize("s", SWITCH_GRID)
+@pytest.mark.parametrize("s", list(SWITCH_GRID))
 def test_capped_cutoff_reports_em_bernoulli(s):
+    method = SWITCH_GRID[s]
     s = complex(s)
     capped = _choose_em_cutoff(s) == _X_CAP and 20 + math.ceil(abs(s.imag)) <= _X_CAP
     assert capped == (s not in (1.46, 1.5))
+    best, other = _reference_routes(s)
+    partner = "borwein" if abs(s.imag) < 4500 else "euler_maclaurin"
+    assert {best.method, other.method} == {"em_bernoulli" if capped else "euler_maclaurin", partner}
+    assert best.method == method and best.error_bound <= other.error_bound
     ref = tz.reference_zeta(s)
-    assert ref.method == ("em_bernoulli" if capped else "euler_maclaurin")
+    assert ref == best
     assert gap_to(ref.value, mp_zeta(s, 35)) <= ref.error_bound
+
+
+def _dirichlet_sizes(monkeypatch) -> list[int]:
+    """The N of every Dirichlet prefix the oracle sums from now on, with
+    reference_zeta's cache cleared."""
+    sizes, right = [], oracle._dirichlet_sum
+
+    def counted(s, N):
+        sizes.append(N)
+        return right(s, N)
+
+    monkeypatch.setattr(oracle, "_dirichlet_sum", counted)
+    tz.reference_zeta.cache_clear()
+    return sizes
+
+
+@pytest.mark.parametrize("s", [1.5, 2.7, 3.7, 3 + 2j, 2.5 + 1.3j])
+def test_borwein_partner_sums_no_million_terms(monkeypatch, s):
+    sizes = _dirichlet_sizes(monkeypatch)
+    assert tz.reference_zeta(s).method == "borwein"
+    assert sizes and max(sizes) < 10**6
+
+
+@pytest.mark.parametrize("s", [2.5 + 1e4j, 1.5 + 4600j])
+def test_million_term_partner_beyond_borweins_reach(monkeypatch, s):
+    with pytest.raises(UnsupportedRangeError, match="4096"):
+        _borwein_order(s)
+    sizes = _dirichlet_sizes(monkeypatch)
+    ref = tz.reference_zeta(s)
+    assert sizes.count(10**6) == 1
+    assert gap_to(ref.value, mp_zeta(s, 35)) <= ref.error_bound
+
+
+def test_perturbed_borwein_fails_the_cross_check(monkeypatch):
+    right = oracle.zeta_borwein
+
+    def off(s, n):
+        ref = right(s, n)
+        return dataclasses.replace(ref, value=ref.value + 1e-8)
+
+    monkeypatch.setattr(oracle, "zeta_borwein", off)
+    tz.reference_zeta.cache_clear()
+    with pytest.raises(CrossCheckError, match=r"borwein = .* and euler_maclaurin = "):
+        tz.reference_zeta(3)
 
 
 OR_S_VALUES = [1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0, 0.5, 0.5 + 18j]
@@ -536,6 +608,8 @@ def test_every_route_bound_is_true(s, sizes):
     )
 )
 @example(s=3 + 1000j)
+@example(s=1 + 2**-52)  # the eta prefactor is singular: the 10^6 route checks
+@example(s=1e306)  # lgamma(Re s) overflows: the 10^6 route checks
 @example(s=12 + 1e5j)
 @example(s=6 + 1e5j)
 @settings(derandomize=True, max_examples=10, deadline=None)
