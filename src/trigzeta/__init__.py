@@ -15,110 +15,61 @@ The package's modules, bottom up:
   Richardson extrapolation.
 * :mod:`trigzeta.cli` -- the ``trigzeta`` command (``eval``,
   ``converge``, ``verify``, ``oracle``).
+
+``import trigzeta`` loads none of them, nor numpy: each public name
+imports its module on first use (``trigzeta.reference_zeta`` loads
+:mod:`trigzeta.oracle`), so a program pays only for what it touches.
 """
 
-from .convergence import (
-    ConvergenceSeries,
-    OrderFit,
-    QSchedule,
-    SweepRecord,
-    empirical_order,
-    richardson_accelerate,
-    run_sweep,
-)
-from .errors import (
-    CrossCheckError,
-    DomainError,
-    InsufficientDataError,
-    UnsupportedRangeError,
-    UsageError,
-)
-from .oracle import (
-    ZetaReference,
-    bernoulli_numbers,
-    cross_routes,
-    reference_zeta,
-    sieve_primes,
-    zeta_borwein,
-    zeta_dirichlet,
-    zeta_em_bernoulli,
-    zeta_eta,
-    zeta_euler_maclaurin,
-    zeta_euler_product,
-    zeta_even,
-)
-from .tannery import (
-    ConditionIIReport,
-    ConditionIReport,
-    ExchangeResult,
-    TanneryInstance,
-    c_bound,
-    exp_instance,
-    exp_limit,
-    gamma_limit,
-    tannery_exchange,
-    term_bound,
-    verify_condition_i,
-    verify_condition_ii,
-    zeta_trig_instance,
-)
-from .trig_sums import (
-    CATALOG_IDS,
-    SumEvaluation,
-    TrigKind,
-    TrigSumSpec,
-    classical_form,
-    finite_trig_sum,
-    term,
-    upper_index,
-)
+import importlib
+
+#: Each public name by the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "convergence": (
+            "ConvergenceSeries", "OrderFit", "QSchedule", "SweepRecord",
+            "empirical_order", "richardson_accelerate", "run_sweep",
+        ),
+        "errors": (
+            "CrossCheckError", "DomainError", "InsufficientDataError",
+            "UnsupportedRangeError", "UsageError",
+        ),
+        "oracle": (
+            "ZetaReference", "bernoulli_numbers", "cross_routes", "reference_zeta",
+            "sieve_primes", "zeta_borwein", "zeta_dirichlet", "zeta_em_bernoulli",
+            "zeta_eta", "zeta_euler_maclaurin", "zeta_euler_product", "zeta_even",
+        ),
+        "tannery": (
+            "ConditionIIReport", "ConditionIReport", "ExchangeResult", "TanneryInstance",
+            "c_bound", "exp_instance", "exp_limit", "gamma_limit", "tannery_exchange",
+            "term_bound", "verify_condition_i", "verify_condition_ii", "zeta_trig_instance",
+        ),
+        "trig_sums": (
+            "CATALOG_IDS", "SumEvaluation", "TrigKind", "TrigSumSpec",
+            "classical_form", "finite_trig_sum", "term", "upper_index",
+        ),
+    }.items()
+    for name in names
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG_IDS",
-    "ConditionIIReport",
-    "ConditionIReport",
-    "ConvergenceSeries",
-    "CrossCheckError",
-    "DomainError",
-    "ExchangeResult",
-    "InsufficientDataError",
-    "OrderFit",
-    "QSchedule",
-    "SumEvaluation",
-    "SweepRecord",
-    "TanneryInstance",
-    "TrigKind",
-    "TrigSumSpec",
-    "UnsupportedRangeError",
-    "UsageError",
-    "ZetaReference",
-    "bernoulli_numbers",
-    "c_bound",
-    "classical_form",
-    "cross_routes",
-    "empirical_order",
-    "exp_instance",
-    "exp_limit",
-    "finite_trig_sum",
-    "gamma_limit",
-    "reference_zeta",
-    "richardson_accelerate",
-    "run_sweep",
-    "sieve_primes",
-    "tannery_exchange",
-    "term",
-    "term_bound",
-    "upper_index",
-    "verify_condition_i",
-    "verify_condition_ii",
-    "zeta_borwein",
-    "zeta_dirichlet",
-    "zeta_em_bernoulli",
-    "zeta_eta",
-    "zeta_euler_maclaurin",
-    "zeta_euler_product",
-    "zeta_even",
-    "zeta_trig_instance",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name's module on first use and keep the name here;
+    the defining modules, by their own names, also load on first use."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

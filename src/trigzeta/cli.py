@@ -17,6 +17,10 @@ literals are written RE, RE+IMi or RE-IMi with no spaces (e.g. ``2``,
 Every flag is validated before anything is computed.  ``verify`` prints
 one line per check, then ``suite NAME: all checks passed`` or one
 ``error:`` line that counts the failed checks and names the first.
+
+A command imports only the modules it runs, when it first needs them.
+Bad flags and a bad ``--s`` literal are refused before numpy is
+imported.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from . import convergence, oracle, tannery, trig_sums
 from .errors import (
     CrossCheckError,
     DomainError,
@@ -38,6 +41,10 @@ from .errors import (
     UsageError,
 )
 from .io_utils import float_text, json_text, write_text_atomic
+
+if TYPE_CHECKING:
+    from .oracle import ZetaReference
+    from .trig_sums import TrigSumSpec
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -118,7 +125,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_spec(ns: argparse.Namespace) -> tuple[trig_sums.TrigSumSpec, str]:
+def _resolve_spec(ns: argparse.Namespace) -> tuple[TrigSumSpec, str]:
+    from . import trig_sums
+
     explicit = [ns.kind, ns.m, ns.n]
     if ns.rep is not None:
         if any(v is not None for v in explicit):
@@ -159,6 +168,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             )
         return ns
 
+    from . import trig_sums
+
     ns.spec, ns.rep_label = _resolve_spec(ns)
     if not ns.s.real > 1.0:
         raise UsageError(
@@ -173,6 +184,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         if trig_sums.upper_index(ns.q, ns.spec.n) > TERM_BUDGET:
             raise UsageError(f"q={ns.q} sums more than {TERM_BUDGET} terms")
         return ns
+
+    from . import convergence
 
     ns.schedule = convergence.QSchedule(q0=ns.q0, factor=ns.factor, steps=ns.steps)
     if not ns.spec.is_admissible(ns.q0):
@@ -196,7 +209,7 @@ def _emit(text: str, out: str | None) -> None:
         write_text_atomic(Path(out), text)
 
 
-def _reference_line(ref: oracle.ZetaReference) -> str:
+def _reference_line(ref: ZetaReference) -> str:
     return (
         f"reference = {_fmt_complex(ref.value)} "
         f"({ref.method}, error_bound {float_text(ref.error_bound)})"
@@ -204,10 +217,14 @@ def _reference_line(ref: oracle.ZetaReference) -> str:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
+    from . import oracle, trig_sums
+
     ev = trig_sums.finite_trig_sum(args.spec, args.q, args.s)
     ref = oracle.reference_zeta(args.s)
     abs_error = abs(ev.value - ref.value)
     if args.output == "csv":
+        from . import convergence
+
         record = convergence.SweepRecord(q=ev.q, estimate=ev.value, abs_error=abs_error)
         text = convergence.to_csv(convergence.ConvergenceSeries((record,), ref, None, None))
     elif args.output == "json":
@@ -240,6 +257,8 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 
 def _run_converge(args: argparse.Namespace) -> int:
+    from . import convergence
+
     series = convergence.run_sweep(args.spec, args.s, args.schedule)
     if args.output == "csv":
         text = convergence.to_csv(series)
@@ -267,6 +286,8 @@ def _run_converge(args: argparse.Namespace) -> int:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     ref = oracle.reference_zeta(args.s)
     if args.output == "json":
         text = json_text({"s_re": args.s.real, "s_im": args.s.imag, **ref.to_dict()})
@@ -298,6 +319,8 @@ def _check(ok: bool, line: str, failure: str) -> _Check:
 
 
 def _suite_bernoulli(_s: complex | None) -> Iterator[_Check]:
+    from . import oracle
+
     for n in range(1, 6):
         even = oracle.zeta_even(n)
         ref = oracle.zeta_dirichlet(complex(2 * n), 1_000_000)
@@ -316,6 +339,8 @@ _CROSS_S = (1.05, 1.5, 2.0, 3.0, 4.0, 2.5 + 1.3j, 10.0, 0.5, 0.9, 0.5 + 18j)
 
 
 def _suite_cross(_s: complex | None) -> Iterator[_Check]:
+    from . import oracle
+
     for s in _CROSS_S:
         s = complex(s)
         for a, b in itertools.combinations(oracle.cross_routes(s), 2):
@@ -330,6 +355,8 @@ def _suite_cross(_s: complex | None) -> Iterator[_Check]:
 
 
 def _suite_tannery(s: complex | None) -> Iterator[_Check]:
+    from . import tannery, trig_sums
+
     for s_val in map(complex, [1.5, 2.0, 3.0] if s is None else [s]):
         if s_val.imag != 0.0:
             raise UsageError("the tannery suite checks real s only")
@@ -354,6 +381,8 @@ def _suite_tannery(s: complex | None) -> Iterator[_Check]:
 
 
 def _suite_specializations(_s: complex | None) -> Iterator[_Check]:
+    from . import oracle, trig_sums
+
     s, q = complex(2.0), 2048
     ref = oracle.reference_zeta(s)
     tol_rel = 10.0 / q

@@ -243,28 +243,37 @@ def exp_instance(x: float) -> TanneryInstance:
     running product over j <= k of ((n-j+1)/n x)/j (0 at j = n+1, so
     f(k, n) = 0 for k > n), of x/j and of |x|/j."""
     x = float(x)
+    # the first index whose product is an exact zero, by product (n for f):
+    # past it every product is zero, so a block wholly past it is not summed
+    # again.  An entry depends on x alone, so concurrent calls record one value.
+    zero_from: dict[object, int] = {}
 
-    def running_product(k: np.ndarray, ratio: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    def running_product(
+        key: object, k: np.ndarray, ratio: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        if k.size and k.min() >= zero_from.get(key, math.inf):
+            return np.zeros(k.shape)
         # a block of ratios at a time, its cumprod started from the last
         # product of the block before, as one scalar loop would take them
         out = np.where(k == 0, 1.0, 0.0)
         last = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in _block_bounds(1, int(k.max(initial=0)) + 1):
-                if last == 0.0:
-                    break  # past an exact zero the product stays zero
                 j = np.arange(lo, hi, dtype=np.float64)
                 products = np.cumprod(np.concatenate(([last], ratio(j))))
                 here = (k >= lo) & (k < hi)
                 out[here] = products[(k[here] - (lo - 1)).astype(np.intp)]
                 last = products[-1]
+                if last == 0.0:  # past an exact zero the product stays zero
+                    zero_from[key] = lo - 1 + int(np.argmax(products == 0.0))
+                    break
         return out + 0.0  # a zero reached through a negative ratio is -0.0
 
     return TanneryInstance(
         name=f"exp(x={x:g})",
-        f=lambda k, n: running_product(k, lambda j: (n - j + 1) / n * x / j),
-        f_limit=lambda k: running_product(k, lambda j: x / j),
-        bound=lambda k: running_product(k, lambda j: abs(x) / j),
+        f=lambda k, n: running_product(n, k, lambda j: (n - j + 1) / n * x / j),
+        f_limit=lambda k: running_product("limit", k, lambda j: x / j),
+        bound=lambda k: running_product("bound", k, lambda j: abs(x) / j),
         alpha=lambda n: n,
         min_q=1,
     )

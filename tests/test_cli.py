@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -232,8 +233,14 @@ class TestExecution:
         assert len(lines) == 1 and lines[0].startswith("error: ") and "allowance" in lines[0]
 
     def test_import_leaves_mpmath_out(self):
-        result = run_python("-c", "import sys, trigzeta; print('mpmath' in sys.modules)")
-        assert result.stdout == "False\n"
+        # and numpy: each public name, and each module by its name, loads
+        # on first use
+        code = (
+            "import sys, trigzeta; "
+            "print('mpmath' in sys.modules, 'numpy' in sys.modules, trigzeta.tannery.__name__)"
+        )
+        result = run_python("-c", code)
+        assert result.stdout == "False False trigzeta.tannery\n"
 
     def test_bernoulli_suite_runs_without_mpmath(self):
         # None in sys.modules makes every `import mpmath` raise ImportError
@@ -244,6 +251,26 @@ class TestExecution:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.endswith("suite bernoulli: all checks passed\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--s", "1e400", "--rep", "E28", "--q", "10"],
+            ["eval", "--s", "2", "--rep", "E28", "--q", "10", "--bogus"],
+            ["verify", "--suite", "specializations", "--s", "2"],
+            ["oracle"],
+        ],
+    )
+    def test_bad_argv_refused_without_numpy(self, argv):
+        # None in sys.modules makes every `import numpy` raise ImportError
+        code = (
+            "import sys; sys.modules['numpy'] = None; from trigzeta import cli; "
+            f"sys.exit(cli.main({argv!r}))"
+        )
+        result = run_python("-c", code)
+        assert (result.returncode, result.stdout) == (1, "")
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
     def test_strip_oracle_leaves_mpmath_out(self):
         # Borwein's truncation bound takes ln|Gamma(s)| from Stirling's series
@@ -477,6 +504,38 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
     return status, out.getvalue(), err.getvalue()
+
+
+#: The public names, by the module that defines them.
+_PUBLIC = {
+    "convergence": ["ConvergenceSeries", "OrderFit", "QSchedule", "SweepRecord",
+                    "empirical_order", "richardson_accelerate", "run_sweep"],
+    "errors": ["CrossCheckError", "DomainError", "InsufficientDataError",
+               "UnsupportedRangeError", "UsageError"],
+    "oracle": ["ZetaReference", "bernoulli_numbers", "cross_routes", "reference_zeta",
+               "sieve_primes", "zeta_borwein", "zeta_dirichlet", "zeta_em_bernoulli", "zeta_eta",
+               "zeta_euler_maclaurin", "zeta_euler_product", "zeta_even"],
+    "tannery": ["ConditionIIReport", "ConditionIReport", "ExchangeResult", "TanneryInstance",
+                "c_bound", "exp_instance", "exp_limit", "gamma_limit", "tannery_exchange",
+                "term_bound", "verify_condition_i", "verify_condition_ii", "zeta_trig_instance"],
+    "trig_sums": ["CATALOG_IDS", "SumEvaluation", "TrigKind", "TrigSumSpec", "classical_form",
+                  "finite_trig_sum", "term", "upper_index"],
+}
+
+
+def test_namespace_resolves_each_name_to_its_module():
+    names = sorted(name for group in _PUBLIC.values() for name in group)
+    assert tz.__all__ == names
+    for module, group in _PUBLIC.items():
+        defining = importlib.import_module(f"trigzeta.{module}")
+        for name in group:
+            assert getattr(tz, name) is getattr(defining, name), name
+    star: dict[str, object] = {}
+    exec("from trigzeta import *", star)
+    assert all(star[name] is getattr(tz, name) for name in names)
+    assert set(names) <= set(dir(tz))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tz.no_such_name
 
 
 def test_reference_object_is_shared():

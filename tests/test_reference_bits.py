@@ -2,14 +2,16 @@
 
 ``reference_bits.json`` records the value, error bound and method of
 ``reference_zeta`` at every s below, ``finite_trig_sum``'s value and
-rounding bound over a grid of shapes, q and s, and the stdout of
-``verify --suite tannery`` at two s, together with the numpy version and
-the SIMD targets numpy dispatches to, since both decide the last bits
+rounding bound over a grid of shapes, q and s, the stdout of
+``verify --suite tannery`` at two s, and the exit status, stdout and
+stderr of a list of commands, together with the numpy version and the
+SIMD targets numpy dispatches to, since both decide the last bits
 (``NPY_DISABLE_CPU_FEATURES`` switches targets off).  Where both match
 the recording, every value, bound and byte must be kept.  Elsewhere each
 reference must lie within its own bound of the recorded one, each sum
-within the sum of the two rounding bounds of the recorded one, and each
-line of the tannery stdout must keep its key and every boolean field.
+within the sum of the two rounding bounds of the recorded one, each
+line of the tannery stdout must keep its key and every boolean field,
+and each command its exit status and, numbers aside, every byte.
 
 A change that moves bits on purpose regenerates the file and says which
 entries moved, and why, in CHANGES.md:
@@ -21,6 +23,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,22 @@ TANNERY_ARGVS = (
     ["verify", "--suite", "tannery", "--s", "1"],
 )
 
+# the base round of the benchmark's cli-commands workload, then the
+# command whose --out bytes CI compares with its stdout
+CLI_ARGVS = (
+    ["eval", "--s", "2.000000", "--rep", "E28", "--q", "1000"],
+    ["eval", "--s", "2.500000+1.300000i", "--rep", "E31", "--q", "500", "--output", "csv"],
+    ["eval", "--s", "3.000000", "--rep", "E30", "--q", "200", "--output", "json"],
+    ["converge", "--s", "2.500000", "--rep", "E29", "--output", "csv"],
+    ["oracle", "--s", "3.000000"],
+    ["verify", "--suite", "tannery"],
+    ["verify", "--suite", "specializations"],
+    ["verify", "--suite", "tannery", "--s", "1"],
+    ["eval", "--s", "1e400", "--rep", "E28", "--q", "10"],
+    ["eval", "--s", "2+1e300i", "--rep", "E28", "--q", "10"],
+    ["oracle", "--s", "2", "--output", "csv"],
+)
+
 
 def dispatch() -> dict[str, object]:
     """numpy's version and the SIMD targets it reports as enabled."""
@@ -88,11 +107,15 @@ def kernel_record(shape: str, q: int, s: complex) -> dict[str, object]:
     }
 
 
+def cli_record(argv: list[str]) -> dict[str, object]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return {"argv": argv, "status": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def tannery_record(argv: list[str]) -> dict[str, object]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cli.main(argv)
-    return {"argv": argv, "stdout": out.getvalue()}
+    return {"argv": argv, "stdout": cli_record(argv)["stdout"]}
 
 
 def _bits(entry: dict, bound: str = "error_bound") -> list[str]:
@@ -104,6 +127,7 @@ _GOLDEN = {
     "entries": [],
     "kernel": [],
     "tannery": [],
+    "cli": [],
     **(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}),
 }
 _ENTRIES = _GOLDEN["entries"]
@@ -115,6 +139,7 @@ def test_the_file_covers_the_list():
     grid = [(shape, q, complex(s)) for shape in KERNEL_SHAPES for q in KERNEL_Q for s in KERNEL_S]
     assert [(e["shape"], e["q"], complex(*e["s"])) for e in _GOLDEN["kernel"]] == grid
     assert [e["argv"] for e in _GOLDEN["tannery"]] == list(TANNERY_ARGVS)
+    assert [e["argv"] for e in _GOLDEN["cli"]] == list(CLI_ARGVS)
 
 
 @pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: f"s={complex(*e['s'])}")
@@ -159,6 +184,20 @@ def test_tannery_stdout_keeps_its_bytes(entry):
         assert list(map(_key_and_flag, now.splitlines())) == list(map(_key_and_flag, recorded))
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@pytest.mark.parametrize("entry", _GOLDEN["cli"], ids=lambda e: " ".join(e["argv"]))
+def test_command_keeps_its_bytes(entry):
+    now = cli_record(entry["argv"])
+    if _GOLDEN["dispatch"] == dispatch():
+        assert now == entry
+    else:
+        assert now["status"] == entry["status"]
+        for stream in ("stdout", "stderr"):
+            assert _NUMBER.sub("#", now[stream]) == _NUMBER.sub("#", entry[stream])
+
+
 if __name__ == "__main__":
     payload = {
         "dispatch": dispatch(),
@@ -170,5 +209,6 @@ if __name__ == "__main__":
             for s in KERNEL_S
         ],
         "tannery": [tannery_record(argv) for argv in TANNERY_ARGVS],
+        "cli": [cli_record(argv) for argv in CLI_ARGVS],
     }
     GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")

@@ -402,6 +402,17 @@ class TestExpInstance:
         expected = [binomial_term(int(j), 200, -2.5) for j in k]
         assert np.array_equal(bits(inst.f(k, 200)), bits(expected))
 
+    def test_one_products_zero_leaves_the_others_alone(self):
+        # f(., 10) is exactly zero from k = 11; f at another n, f_limit and
+        # the bound are not, at the same indices of the same instance
+        inst = tz.exp_instance(30.0)
+        k = np.arange(11.0, 30.0)
+        assert not inst.f(np.arange(30.0), 10)[11:].any()
+        assert not inst.f(k, 10).any()
+        assert np.array_equal(bits(inst.f(k, 10**6)), bits([binomial_term(int(j), 10**6, 30.0) for j in k]))
+        limit = [math.prod(30.0 / i for i in range(1, int(j) + 1)) for j in k]
+        assert inst.f_limit(k).tolist() == inst.bound(k).tolist() == pytest.approx(limit, rel=1e-13)
+
 
 class TestExpLimit:
     def test_zero_is_one(self):
