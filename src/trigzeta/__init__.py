@@ -7,8 +7,8 @@ The package's modules, bottom up:
 * :mod:`trigzeta.trig_sums` -- the finite trigonometric power sums
   whose q -> infinity limit is zeta(s) for Re(s) > 1, plus the catalog
   of classical special cases.
-* :mod:`trigzeta.oracle` -- seven independent classical reference
-  computations of zeta used for cross-validation.
+* :mod:`trigzeta.oracle` -- seven classical reference computations
+  of zeta, each cross-checked against another.
 * :mod:`trigzeta.tannery` -- a checkable harness for the
   limit-interchange theorem that justifies the representations.
 * :mod:`trigzeta.convergence` -- sweeps, empirical order fitting and

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .io_utils import float_text, json_text
 from .oracle import ZetaReference, reference_zeta
-from .trig_sums import TrigSumSpec, finite_trig_sum
+from .trig_sums import TrigSumSpec, finite_trig_sum, upper_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,12 +90,9 @@ def run_sweep(spec: TrigSumSpec, s: complex, sched: QSchedule) -> ConvergenceSer
     s = complex(s)
     if not s.real > 1.0:
         raise DomainError(f"sweep needs Re(s) > 1, got Re(s)={s.real}")
-    # the schedule increases, so its first point is its smallest
-    if not spec.is_admissible(sched.q0):
-        raise DomainError(
-            f"schedule point q={sched.q0} inadmissible for n={spec.n} "
-            f"(requires q >= {spec.min_q()})"
-        )
+    # the schedule increases, so its first point is its smallest: an
+    # inadmissible one is refused before the reference is computed
+    upper_index(sched.q0, spec.n)
     reference = reference_zeta(s)
     records = []
     for q in sched.q_values():

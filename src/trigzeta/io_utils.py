@@ -28,21 +28,27 @@ def write_text_atomic(path: Path, text: str) -> None:
     is resolved first, so the link stays and its target gets the text.
     The file gets the mode that ``open`` would give it: an existing file
     keeps its own, and a new one gets 0o666 less the umask, which the
-    kernel applies as it creates the temp file."""
-    path = Path(os.path.realpath(path))
-    if path.is_symlink():  # realpath stops inside a loop of links
-        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(path))
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    kernel applies as it creates the temp file.  An error on the temp
+    file, whose name is random, is raised naming path as given."""
+    target = Path(os.path.realpath(path))
+    if target.is_symlink():  # realpath stops inside a loop of links
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(target))
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        if path.exists():
-            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            if target.exists():
+                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None

@@ -76,9 +76,6 @@ class TrigSumSpec:
         """Smallest admissible q (see ``upper_index``)."""
         return _min_q(self.n)
 
-    def is_admissible(self, q: int) -> bool:
-        return q >= self.min_q()
-
 
 @dataclass(frozen=True, slots=True)
 class SumEvaluation:

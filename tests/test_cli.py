@@ -110,9 +110,17 @@ class TestParseArgs:
             cli.parse_args(["eval", "--s", "2", "--kind", "cot", "--q", "10"])
 
     def test_inadmissible_q(self):
-        with pytest.raises(UsageError, match="inadmissible"):
+        with pytest.raises(DomainError, match="inadmissible"):
             cli.parse_args(["eval", "--s", "2", "--kind", "cot", "--m", "0",
                             "--n", "0", "--q", "1"])
+
+    def test_library_refuses_a_negative_shift_and_an_inadmissible_q0(self):
+        with pytest.raises(DomainError, match="shifts must be nonnegative"):
+            cli.parse_args(["eval", "--s", "2", "--kind", "cot", "--m", "-1",
+                            "--n", "0", "--q", "10"])
+        with pytest.raises(DomainError, match="inadmissible"):
+            cli.parse_args(["converge", "--s", "2", "--kind", "cot", "--m", "0",
+                            "--n", "0", "--q0", "1"])
 
     def test_suite_choices(self):
         config = cli.parse_args(["verify", "--suite", "bernoulli"])
@@ -181,6 +189,8 @@ class TestExecution:
             # sums and dominating bounds that overflow binary64
             ("eval", "--s", "1e300", "--rep", "E28", "--q", "10"),
             ("converge", "--s", "1e300", "--rep", "E28"),
+            # terms of +inf and -inf in one block
+            ("eval", "--s", "1000+1i", "--kind", "cot", "--m", "0", "--n", "10", "--q", "1"),
             # pi^700 overflows: the csc bound at p = 1
             ("verify", "--suite", "tannery", "--s", "700"),
             ("verify", "--suite", "tannery", "--s", "1e300"),
@@ -411,14 +421,17 @@ class TestDeterminismAndFiles:
         assert out.read_text() == piped.stdout
 
     def test_no_partial_file_on_failure(self, tmp_path):
-        # unwritable directory for the temp file: parent does not exist
+        # unwritable directory for the temp file: parent does not exist;
+        # the one error line names the --out path, not the temp file's
+        # random name, so two runs print the same bytes
         missing = tmp_path / "nope" / "sweep.csv"
-        result = run_cli("converge", "--s", "2", "--rep", "E28", "--q0", "10",
-                         "--factor", "2", "--steps", "4", "--output", "csv",
-                         "--out", str(missing))
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: ")
-        assert not missing.exists()
+        argv = ["converge", "--s", "2", "--rep", "E28", "--q0", "10", "--factor", "2",
+                "--steps", "4", "--output", "csv", "--out", str(missing)]
+        first, second = run_cli(*argv), run_cli(*argv)
+        assert first.returncode == 1 and first.stdout == ""
+        assert first.stderr == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert (second.returncode, second.stdout, second.stderr) == (1, "", first.stderr)
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_out_file_gets_the_mode_of_a_plain_write(self, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -605,6 +618,21 @@ def test_one_wrong_value_fails_the_suite(monkeypatch, suite, wrong):
     assert len(err.splitlines()) == 1
 
 
+def test_cross_suite_checks_each_route_against_the_tightest(monkeypatch):
+    """Each other route once, against the route with the smallest bound
+    (the last on a tie), in cross_routes order."""
+    def routes(s):
+        return [oracle.ZetaReference(1.0 + 0j, method, bound)
+                for method, bound in (("loose", 1e-6), ("tied", 1e-9), ("tight", 1e-9))]
+
+    monkeypatch.setattr(oracle, "cross_routes", routes)
+    status, out, _ = run_main(["verify", "--suite", "cross"])
+    lines = out.splitlines()
+    assert status == 0 and len(lines) == 2 * len(cli._CROSS_S) + 1
+    pairs = [line.split(": ", 1)[1].split(" = ")[0] for line in lines[:-1]]
+    assert pairs == ["|loose - tight|", "|tied - tight|"] * len(cli._CROSS_S)
+
+
 def test_eval_csv_is_to_csv_of_one_record():
     status, out, _ = run_main(["eval", "--s", "2.5+1.3i", "--rep", "E31", "--q", "500",
                                "--output", "csv"])
@@ -647,12 +675,19 @@ def _argv(draw) -> list[str]:
         return ["verify", "--suite", "tannery", "--s", s]
     if command == "oracle":
         return ["oracle", "--s", s, *draw(_OUTPUT)]
-    rep = ["--rep", draw(st.sampled_from((*tz.CATALOG_IDS, "E99", "e28", "")))]
+    # a negative shift and an inadmissible q or q0 reach the library's refusal
+    rep = draw(st.one_of(
+        st.builds(lambda cid: ["--rep", cid], st.sampled_from((*tz.CATALOG_IDS, "E99", "e28", ""))),
+        st.builds(lambda kind, m, n: ["--kind", kind, "--m", str(m), "--n", str(n)],
+                  st.sampled_from(["cot", "csc"]), st.integers(-2, 3), st.integers(-2, 3)),
+    ))
+    small = st.sampled_from([-1, 0, 1, 2])
     if command == "eval":
-        return ["eval", "--s", s, *rep, "--q", str(draw(st.integers(-2, 1000))), *draw(_OUTPUT)]
+        q = draw(st.one_of(small, st.integers(-2, 1000)))
+        return ["eval", "--s", s, *rep, "--q", str(q), *draw(_OUTPUT)]
     # q0 * 2^(steps-1) <= 1000
     steps = draw(st.integers(1, 4))
-    q0 = draw(st.integers(0, 1000 >> (steps - 1)))
+    q0 = draw(st.one_of(small, st.integers(0, 1000 >> (steps - 1))))
     return ["converge", "--s", s, *rep, "--q0", str(q0), "--steps", str(steps), *draw(_OUTPUT)]
 
 
@@ -664,6 +699,8 @@ def _argv(draw) -> list[str]:
 @example(["verify", "--suite", "tannery", "--s", "1e300"])
 @example(["oracle", "--s", "0.5+14.134725141734693i"])
 @example(["eval", "--s", "2", "--rep", "E99", "--q", "10"])
+@example(["eval", "--s", "2", "--kind", "cot", "--m", "-1", "--n", "0", "--q", "10"])
+@example(["converge", "--s", "2", "--kind", "cot", "--m", "0", "--n", "0", "--q0", "1"])
 def test_any_argv_exits_cleanly(argv):
     status, _, err = run_main(argv)
     assert status in (0, 1, 2)

@@ -250,6 +250,13 @@ class TestFiniteTrigSum:
         with pytest.raises(UnsupportedRangeError, match="overflows"):
             tz.term(tz.classical_form(cid), 1, q, s)
 
+    def test_infinities_of_both_signs_refused(self):
+        # three bases above 1 at s = 1000+1i: one block holds +inf and -inf
+        # terms, and math.fsum raises on their sum
+        spec = tz.TrigSumSpec(tz.TrigKind.COT, 0, 10)
+        with pytest.raises(UnsupportedRangeError, match=r"q=1, s=\(1000\+1j\)"):
+            tz.finite_trig_sum(spec, 1, 1000 + 1j)
+
     @pytest.mark.parametrize("s", [2.5, 2.5 + 1.3j])
     def test_memory_stays_small_at_large_q(self, s):
         import tracemalloc
